@@ -16,7 +16,7 @@
 //! job inside the level-i busy window (not just the first), the
 //! schedulability test walks the busy window job by job.
 
-use mkss_core::mk::Pattern;
+use mkss_core::mk::{MkConstraint, Pattern};
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
 use serde::{Deserialize, Serialize};
@@ -44,6 +44,28 @@ impl InterferenceModel {
             InterferenceModel::AllJobs => releases,
             InterferenceModel::MandatoryOnly(p) => p.mandatory_among(task.mk(), releases),
         }
+    }
+
+    /// Whether the `job_number`-th (1-based) job of a task with
+    /// constraint `mk` is counted as own demand in its busy window.
+    fn counts(self, mk: MkConstraint, job_number: u64) -> bool {
+        match self {
+            InterferenceModel::AllJobs => true,
+            InterferenceModel::MandatoryOnly(p) => p.is_mandatory(mk, job_number),
+        }
+    }
+
+    /// Work `Σ_{j<n} N_j(t)·C_j` of the `n` highest-priority tasks in
+    /// `[0, t)`, or `None` if it does not fit in a [`Time`] (the window
+    /// is then far past any deadline or hyperperiod cut-off).
+    fn work(self, ts: &TaskSet, n: usize, t: Time) -> Option<Time> {
+        ts.ids().take(n).try_fold(Time::ZERO, |sum, j| {
+            let work = ts
+                .task(j)
+                .wcet()
+                .checked_mul(self.interfering_jobs(ts, j, t))?;
+            sum.ticks().checked_add(work.ticks()).map(Time::from_ticks)
+        })
     }
 }
 
@@ -98,12 +120,7 @@ fn response_time_at(
 ) -> Option<Time> {
     let mut r = demand;
     for _ in 0..MAX_ITERATIONS {
-        let interference: Time = ts
-            .ids()
-            .take(task_id.0)
-            .map(|hp| ts.task(hp).wcet() * model.interfering_jobs(ts, hp, r))
-            .sum();
-        let next = demand + interference;
+        let next = demand + model.work(ts, task_id.0, r)?;
         if next == r {
             return Some(r);
         }
@@ -186,54 +203,68 @@ pub fn analyze(ts: &TaskSet, model: InterferenceModel) -> SchedulabilityReport {
 }
 
 /// Convenience wrapper: is `ts` schedulable under the deeply-red pattern
-/// (the premise of Theorem 1)?
+/// (the premise of Theorem 1)? Same verdict as [`analyze`], but stops at
+/// the first task that misses.
 pub fn is_schedulable_r_pattern(ts: &TaskSet) -> bool {
-    analyze(ts, InterferenceModel::MandatoryOnly(Pattern::DeeplyRed)).schedulable()
+    let model = InterferenceModel::MandatoryOnly(Pattern::DeeplyRed);
+    ts.ids()
+        .all(|id| busy_window_response(ts, id, model).is_some())
 }
 
 /// Walks the level-i busy window started at the synchronous release and
 /// returns the worst response time over all own (interfering) jobs in it,
 /// or `None` on a deadline miss.
+///
+/// The first job is analysed before the busy window is sized. It is
+/// release 0 and counts under every model, so its finish time is the same
+/// fixed point whichever is computed first; a miss there is `None` either
+/// way, and it is where unschedulable tasks almost always fail, so the
+/// busy-window fixed point is skipped for them.
 fn busy_window_response(ts: &TaskSet, task_id: TaskId, model: InterferenceModel) -> Option<Time> {
     let task = ts.task(task_id);
+    debug_assert!(
+        model.counts(task.mk(), 1),
+        "the first job must count as own demand under {model:?}"
+    );
+    let first = response_time_at(ts, task_id, model, task.wcet(), task.deadline())?;
+    if first > task.deadline() {
+        return None;
+    }
+
     // Length of the level-i busy window: L = Σ_{j<=i} N_j(L)·C_j.
     let busy_len = {
         let mut l = task.wcet();
+        let mut hyperperiod = None;
         let mut iterations = 0;
         loop {
-            let next: Time = ts
-                .ids()
-                .take(task_id.0 + 1)
-                .map(|j| ts.task(j).wcet() * model.interfering_jobs(ts, j, l))
-                .sum();
+            let next = model.work(ts, task_id.0 + 1, l)?;
             if next == l {
                 break l;
             }
             iterations += 1;
             // Utilization ≥ 1 at this level → unbounded busy window. The
-            // horizon `hyperperiod` is a safe cut-off: a busy window that
+            // horizon `hyperperiod` (an LCM over every task, so taken once
+            // and only if needed) is a safe cut-off: a busy window that
             // long necessarily contains a deadline miss for D ≤ P.
-            if iterations > MAX_ITERATIONS || next > ts.hyperperiod() {
+            if iterations > MAX_ITERATIONS
+                || next > *hyperperiod.get_or_insert_with(|| ts.hyperperiod())
+            {
                 return None;
             }
             l = next;
         }
     };
 
-    let mut worst = Time::ZERO;
-    let mut own_demand = Time::ZERO;
-    let mut release_index = 0u64; // 0-based release counter
+    let mut worst = first;
+    let mut own_demand = task.wcet();
+    let mut release_index = 1u64; // 0-based; release 0 is `first`
     loop {
         let release = task.period() * release_index;
-        if release >= busy_len && release_index > 0 {
+        if release >= busy_len {
             break;
         }
         let job_number = release_index + 1;
-        let counts = match model {
-            InterferenceModel::AllJobs => true,
-            InterferenceModel::MandatoryOnly(p) => p.is_mandatory(task.mk(), job_number),
-        };
-        if counts {
+        if model.counts(task.mk(), job_number) {
             own_demand += task.wcet();
             // Finish time of this job: all own mandatory work up to and
             // including it, plus higher-priority interference.
@@ -408,6 +439,60 @@ mod tests {
         )
         .unwrap();
         assert!(mand <= all);
+    }
+
+    #[test]
+    fn first_job_counts_under_every_model() {
+        // `busy_window_response` analyses job 1 before sizing the busy
+        // window; that is only equivalent if job 1 is always own demand.
+        let models = [
+            InterferenceModel::AllJobs,
+            InterferenceModel::MandatoryOnly(Pattern::DeeplyRed),
+            InterferenceModel::MandatoryOnly(Pattern::EvenlyDistributed),
+        ];
+        for k in 2..=20 {
+            for m in 1..k {
+                let mk = MkConstraint::new(m, k).unwrap();
+                for model in models {
+                    assert!(model.counts(mk, 1), "{model:?} skips job 1 of ({m},{k})");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn overloaded_all_jobs_busy_window_is_unschedulable_not_an_overflow() {
+        // A raw Section V candidate (seed 1, top bucket) with classic
+        // utilization ≈ 2.14: its pattern hyperperiod saturates at
+        // `Time::MAX`, so the level-i busy window grows until its demand
+        // no longer fits in a `Time`.
+        let ts = TaskSet::new(
+            [
+                (11, 4_217, 8, 13),
+                (29, 5_333, 2, 4),
+                (38, 1_011, 4, 5),
+                (40, 1_093, 1, 12),
+                (41, 1_132, 2, 20),
+                (43, 5_797, 12, 16),
+                (46, 17_867, 1, 17),
+                (47, 18_592, 5, 18),
+                (49, 12_873, 1, 9),
+                (49, 14_979, 6, 8),
+            ]
+            .iter()
+            .map(|&(p, c, m, k)| {
+                let period = Time::from_ms(p);
+                Task::new(period, period, Time::from_us(c), m, k).unwrap()
+            })
+            .collect(),
+        )
+        .unwrap();
+        assert!(ts.utilization() > 2.0);
+        assert_eq!(ts.hyperperiod(), Time::MAX);
+        let report = analyze(&ts, InterferenceModel::AllJobs);
+        assert!(!report.schedulable());
+        assert_eq!(report.response_time(TaskId(9)), None);
+        assert_eq!(promotion_times(&ts, InterferenceModel::AllJobs), None);
     }
 
     #[test]

@@ -6,7 +6,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use mkss_analysis::exact::exact_sweep;
 use mkss_analysis::postpone::{job_postponement, postponement_intervals, PostponeConfig};
 use mkss_analysis::rotation::{find_rotation, RotationConfig};
-use mkss_analysis::rta::{analyze, InterferenceModel};
+use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
 use mkss_core::history::{JobOutcome, MkHistory};
 use mkss_core::mk::{MkConstraint, Pattern};
 use mkss_core::task::TaskSet;
@@ -14,7 +14,7 @@ use mkss_core::time::Time;
 use mkss_obs::NoopRecorder;
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate, simulate_in, SimConfig, SimWorkspace};
-use mkss_workload::{Generator, WorkloadConfig};
+use mkss_workload::{bucket_bounds, BucketPlan, Generator, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -22,6 +22,24 @@ fn sample_set() -> TaskSet {
     Generator::new(WorkloadConfig::paper(), 12345)
         .schedulable_set(0.5)
         .expect("0.5 utilization is generatable")
+}
+
+/// The first 64 raw candidates of seed 1's [0.8, 0.9) bucket, in draw
+/// order, keeping only those the R-pattern test rejects (Section V's
+/// bucket filling spends most of its analysis time rejecting these).
+fn rejected_batch() -> Vec<TaskSet> {
+    let bucket = 7;
+    let (lo, hi) = bucket_bounds(BucketPlan::default())[bucket];
+    let mut g = Generator::new(WorkloadConfig::paper(), 1 + bucket as u64 * 0x9e37_79b9);
+    let batch: Vec<TaskSet> = (0..64)
+        .filter_map(|_| g.raw_set_in(lo, hi))
+        .filter(|ts| !is_schedulable_r_pattern(ts))
+        .collect();
+    assert!(
+        !batch.is_empty(),
+        "the top bucket rejects nearly every draw"
+    );
+    batch
 }
 
 fn bench_analysis(c: &mut Criterion) {
@@ -32,6 +50,15 @@ fn bench_analysis(c: &mut Criterion) {
                 black_box(&ts),
                 InterferenceModel::MandatoryOnly(Pattern::DeeplyRed),
             ))
+        })
+    });
+    let rejected = rejected_batch();
+    c.bench_function("rta/r_pattern_reject", |b| {
+        b.iter(|| {
+            black_box(&rejected)
+                .iter()
+                .filter(|ts| is_schedulable_r_pattern(ts))
+                .count()
         })
     });
     c.bench_function("rta/all_jobs", |b| {

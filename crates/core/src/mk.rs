@@ -395,6 +395,27 @@ mod tests {
     use proptest::prelude::*;
 
     #[test]
+    fn first_job_is_mandatory_under_every_pattern() {
+        // Busy-window RTA analyses job 1 before sizing the busy window,
+        // relying on this. The match is exhaustive: a new variant fails to
+        // compile here until it is listed in `patterns`.
+        let patterns = [Pattern::DeeplyRed, Pattern::EvenlyDistributed];
+        for pattern in patterns {
+            match pattern {
+                Pattern::DeeplyRed | Pattern::EvenlyDistributed => {}
+            }
+        }
+        for k in 2..=20 {
+            for m in 1..k {
+                let mk = MkConstraint::new(m, k).unwrap();
+                for pattern in patterns {
+                    assert!(pattern.is_mandatory(mk, 1), "{pattern:?} ({m},{k})");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn constraint_validation() {
         assert!(MkConstraint::new(1, 2).is_ok());
         assert!(MkConstraint::new(19, 20).is_ok());

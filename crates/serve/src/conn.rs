@@ -4,6 +4,15 @@
 use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpStream};
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
+
+use mkss_obs::Stopwatch;
+
+/// Longest a [`linger_close`] waits for the peer to stop sending, in µs.
+const LINGER_US: u64 = 2_000_000;
+
+/// Most input a [`linger_close`] discards before it gives up on the peer.
+const LINGER_BYTES: usize = 1 << 20;
 
 /// A connected byte stream over either transport.
 #[derive(Debug)]
@@ -29,6 +38,54 @@ impl Conn {
         match self {
             Conn::Unix(s) => s.shutdown(Shutdown::Read),
             Conn::Tcp(s) => s.shutdown(Shutdown::Read),
+        }
+    }
+
+    /// Shut down the write half: the peer reads EOF once it has read
+    /// everything already written.
+    fn shutdown_write(&self) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.shutdown(Shutdown::Write),
+            Conn::Tcp(s) => s.shutdown(Shutdown::Write),
+        }
+    }
+
+    fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
+        match self {
+            Conn::Unix(s) => s.set_read_timeout(timeout),
+            Conn::Tcp(s) => s.set_read_timeout(timeout),
+        }
+    }
+}
+
+/// Close the connection behind `reader` without resetting it.
+///
+/// Closing a socket that still holds unread input makes the kernel answer
+/// the peer with a reset instead of EOF, and over TCP that reset may
+/// discard the last response before the peer reads it. So end the write
+/// half first (the peer reads EOF after the last response), then discard
+/// input until the peer closes its end, [`LINGER_US`] pass or
+/// [`LINGER_BYTES`] arrive, and only then drop the socket.
+pub(crate) fn linger_close(mut reader: BufReader<Conn>) {
+    if reader.get_ref().shutdown_write().is_err() {
+        return;
+    }
+    let started = Stopwatch::start();
+    let mut discarded = 0;
+    let mut scratch = [0u8; 4096];
+    while discarded < LINGER_BYTES {
+        let left_us = LINGER_US.saturating_sub(started.elapsed_us());
+        if left_us == 0
+            || reader
+                .get_ref()
+                .set_read_timeout(Some(Duration::from_micros(left_us)))
+                .is_err()
+        {
+            return;
+        }
+        match reader.read(&mut scratch) {
+            Ok(0) | Err(_) => return,
+            Ok(n) => discarded += n,
         }
     }
 }

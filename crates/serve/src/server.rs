@@ -25,6 +25,11 @@
 //! `shutdown(Read)` so in-flight responses still go out, every handler
 //! and worker is joined, and the Unix socket file is removed. No thread
 //! outlives [`Server::shutdown`].
+//!
+//! Every close the daemon initiates (a protocol error, the `shutdown` op,
+//! the drain) is a lingering close: the write half is shut first and
+//! unread input discarded, so the client reads EOF after the last
+//! response instead of a connection reset.
 
 use std::io::{self, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
@@ -42,7 +47,7 @@ use mkss_obs::{
 };
 use mkss_sim::prelude::WorkspacePool;
 
-use crate::conn::{read_line_bounded, Conn, LineRead};
+use crate::conn::{linger_close, read_line_bounded, Conn, LineRead};
 use crate::exec::{execute, ExecEnv};
 use crate::protocol::{error_line, ok_line, Op, Request, WatchJob};
 
@@ -371,7 +376,10 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
     loop {
         let line = match read_line_bounded(&mut reader, shared.config.max_line_bytes) {
             Ok(LineRead::Line(line)) => line,
-            Ok(LineRead::Eof) | Err(_) => return,
+            // EOF is the client hanging up or the drain's
+            // `shutdown(Read)`, which leaves the client's input unread.
+            Ok(LineRead::Eof) => return linger_close(reader),
+            Err(_) => return,
             Ok(LineRead::TooLong) => {
                 counters.count(CounterId::ServeProtocolErrors);
                 let resp = error_line(
@@ -382,13 +390,13 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                     ),
                 );
                 let _ = write_response(&mut writer, &resp);
-                return;
+                return linger_close(reader);
             }
             Ok(LineRead::NotUtf8) => {
                 counters.count(CounterId::ServeProtocolErrors);
                 let resp = error_line(None, "request line is not valid UTF-8; closing connection");
                 let _ = write_response(&mut writer, &resp);
-                return;
+                return linger_close(reader);
             }
         };
         if line.trim().is_empty() {
@@ -405,12 +413,12 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
                 continue;
             }
         };
-        let shutting_down = match respond(request, shared, &counters, &tee, &mut writer) {
-            Ok(shutting_down) => shutting_down,
+        match respond(request, shared, &counters, &tee, &mut writer) {
+            // The client may already have pipelined more requests behind
+            // the shutdown op; they go unanswered, but without a reset.
+            Ok(true) => return linger_close(reader),
+            Ok(false) => {}
             Err(_) => return,
-        };
-        if shutting_down {
-            return;
         }
     }
 }

@@ -35,6 +35,14 @@ fn sim_line(id: u64, policy: &str, seed: u64) -> String {
     .join(" ")
 }
 
+/// A ping padded past a 256-byte line budget.
+fn oversized_line() -> String {
+    format!(
+        r#"{{"id": 1, "op": "ping", "pad": "{}"}}"#,
+        "x".repeat(1024)
+    )
+}
+
 fn direct_response(line: &str) -> String {
     let pool = WorkspacePool::new();
     let env = ExecEnv {
@@ -259,12 +267,8 @@ fn oversized_lines_are_rejected_and_the_connection_closed() {
     .expect("bind");
 
     let mut client = Client::connect_unix(&sock).expect("connect");
-    let huge = format!(
-        r#"{{"id": 1, "op": "ping", "pad": "{}"}}"#,
-        "x".repeat(1024)
-    );
     let resp = client
-        .request(&huge)
+        .request(&oversized_line())
         .expect("the error response still arrives");
     assert!(resp.contains("exceeds 256 bytes"), "{resp}");
     // The daemon closed this connection afterwards: the next request
@@ -287,6 +291,98 @@ fn oversized_lines_are_rejected_and_the_connection_closed() {
 
     let totals = server.shutdown();
     assert_eq!(totals.counter(CounterId::ServeProtocolErrors), 1);
+}
+
+/// The oversized-line exchange of the test above over TCP, where a reset
+/// can also discard the error line before the client reads it.
+#[test]
+fn oversized_lines_are_rejected_and_the_connection_closed_over_tcp() {
+    let server = Server::bind_tcp(
+        "127.0.0.1:0",
+        ServerConfig {
+            max_line_bytes: 256,
+            ..ServerConfig::default()
+        },
+    )
+    .expect("bind");
+    let addr = server.tcp_addr().expect("tcp endpoint").to_string();
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let resp = client
+        .request(&oversized_line())
+        .expect("the error response still arrives");
+    assert!(resp.contains("exceeds 256 bytes"), "{resp}");
+    let err = client.request(r#"{"id": 2, "op": "ping"}"#).unwrap_err();
+    assert!(
+        matches!(
+            err.kind(),
+            std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::BrokenPipe
+        ),
+        "unexpected error kind: {err:?}"
+    );
+
+    let mut client = Client::connect_tcp(&addr).expect("connect");
+    let resp = client
+        .request(r#"{"id": 3, "op": "ping"}"#)
+        .expect("request");
+    assert!(resp.contains("pong"), "{resp}");
+
+    let totals = server.shutdown();
+    assert_eq!(totals.counter(CounterId::ServeProtocolErrors), 1);
+}
+
+/// Closing a socket with unread input resets it. The daemon must close
+/// after a protocol error with a FIN every time, even when the client's
+/// next request is already queued behind the oversized line: a few
+/// hundred rounds on each transport, alternating a request/response
+/// exchange with a pipelined one.
+#[test]
+fn protocol_error_close_never_resets_the_connection() {
+    const ROUNDS: u64 = 300;
+    let config = ServerConfig {
+        max_line_bytes: 256,
+        ..ServerConfig::default()
+    };
+    let sock = sock_path("linger");
+    let unix = Server::bind_unix(&sock, config).expect("bind unix");
+    let tcp = Server::bind_tcp("127.0.0.1:0", config).expect("bind tcp");
+    let addr = tcp.tcp_addr().expect("tcp endpoint").to_string();
+    let ping = r#"{"id": 2, "op": "ping"}"#;
+
+    for round in 0..ROUNDS {
+        for over_tcp in [false, true] {
+            let mut client = if over_tcp {
+                Client::connect_tcp(&addr).expect("connect")
+            } else {
+                Client::connect_unix(&sock).expect("connect")
+            };
+            let err = if round % 2 == 0 {
+                let resp = client.request(&oversized_line());
+                let resp = resp.unwrap_or_else(|e| panic!("round {round}: error line lost: {e:?}"));
+                assert!(resp.contains("exceeds 256 bytes"), "{resp}");
+                client.request(ping).unwrap_err()
+            } else {
+                client.send(&oversized_line()).expect("send");
+                client.send(ping).expect("send");
+                let resp = client.recv();
+                let resp = resp.unwrap_or_else(|e| panic!("round {round}: error line lost: {e:?}"));
+                assert!(resp.contains("exceeds 256 bytes"), "{resp}");
+                client.recv().unwrap_err()
+            };
+            assert!(
+                matches!(
+                    err.kind(),
+                    std::io::ErrorKind::UnexpectedEof | std::io::ErrorKind::BrokenPipe
+                ),
+                "round {round} (tcp: {over_tcp}): unexpected error kind: {err:?}"
+            );
+        }
+    }
+
+    for server in [unix, tcp] {
+        let totals = server.shutdown();
+        assert_eq!(totals.counter(CounterId::ServeProtocolErrors), ROUNDS);
+    }
 }
 
 #[test]
