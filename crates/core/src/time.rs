@@ -85,20 +85,6 @@ impl Time {
         self.0 as f64 / TICKS_PER_MS as f64
     }
 
-    /// This time in whole milliseconds, rounded up — pure integer
-    /// arithmetic, exact for every tick count (unlike rounding
-    /// [`Time::as_ms_f64`], which loses precision past 2⁵³ ticks).
-    ///
-    /// ```
-    /// use mkss_core::time::Time;
-    /// assert_eq!(Time::from_us(1).as_ms_ceil(), 1);
-    /// assert_eq!(Time::from_ms(5).as_ms_ceil(), 5);
-    /// ```
-    #[inline]
-    pub const fn as_ms_ceil(self) -> u64 {
-        self.0.div_ceil(TICKS_PER_MS)
-    }
-
     /// Saturating subtraction: returns `ZERO` instead of underflowing.
     ///
     /// ```
@@ -370,20 +356,6 @@ mod tests {
             Some(Time::from_ms(2))
         );
         assert_eq!(Time::MAX.checked_mul(2), None);
-    }
-
-    #[test]
-    fn as_ms_ceil_is_exact() {
-        assert_eq!(Time::ZERO.as_ms_ceil(), 0);
-        assert_eq!(Time::from_us(1).as_ms_ceil(), 1);
-        assert_eq!(Time::from_us(999).as_ms_ceil(), 1);
-        assert_eq!(Time::from_ms(1).as_ms_ceil(), 1);
-        assert_eq!(Time::from_us(1_001).as_ms_ceil(), 2);
-        // Exact where the float round-trip is not: 2^53 + 1 ticks is not
-        // representable as f64, so ceil(as_ms_f64()) under-counts.
-        let big = (1u64 << 53) + 1;
-        assert_eq!(Time::from_ticks(big).as_ms_ceil(), big.div_ceil(1_000));
-        assert_eq!(Time::MAX.as_ms_ceil(), u64::MAX.div_ceil(1_000));
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! The closed event catalog: every counter and histogram the engine or the
-//! harness can emit, with stable snake_case names used by the exporters.
+//! The closed metric catalog, with stable snake_case export names. Engine
+//! metrics are folded from [`TraceKind`](crate::TraceKind) events (each
+//! doc names its source kind); `serve_*` entries are bumped by the daemon.
 
 /// A named monotonic counter.
 ///
@@ -10,46 +11,47 @@
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum CounterId {
-    /// Primary jobs released (one per task activation).
+    /// Jobs released: `mandatory_release` + `optional_select` + `optional_skip`.
     JobsReleased,
-    /// Jobs classified mandatory by the (m,k) pattern at release.
+    /// `mandatory_release`: jobs classified mandatory by the (m,k) pattern.
     MandatoryReleased,
-    /// Optional jobs admitted for execution by the policy.
+    /// `optional_select`: optional jobs admitted for execution by the policy.
     OptionalSelected,
-    /// Optional jobs skipped at release (policy declined them).
+    /// `optional_skip`: optional jobs skipped at release (policy declined).
     OptionalSkipped,
-    /// Admitted optional jobs later abandoned as infeasible.
+    /// `optional_abandon`: admitted optional jobs abandoned as infeasible.
     OptionalAbandoned,
-    /// Optional jobs that ran to completion.
+    /// `optional_complete`: optional jobs that ran to completion fault-free.
     OptionalExecuted,
-    /// Backup copies released on the spare processor.
+    /// `backup_release`: backup copies released on the spare processor.
     BackupsReleased,
-    /// Backup copies whose release was postponed (`r̃ = r + θ`, θ > 0).
+    /// `backup_release` with payload θ > 0: postponed backups (`r̃ = r + θ`).
     BackupsPostponed,
-    /// Backup copies canceled because the sibling finished fault-free.
+    /// `backup_cancel`: backups canceled because the sibling finished fault-free.
     BackupsCanceled,
-    /// Backup copies that ran to completion.
+    /// `backup_complete`: backup copies that ran to completion.
     BackupsCompleted,
-    /// Faults injected, transient and permanent combined.
+    /// `transient_fault` + `permanent_fault`: faults injected, both kinds.
     FaultsInjected,
-    /// Transient faults sampled onto completing copies.
+    /// `transient_fault`: transient faults sampled onto completing copies.
     TransientFaults,
-    /// Permanent processor faults applied.
+    /// `permanent_fault`: permanent processor faults applied.
     PermanentFaults,
-    /// Jobs met *because* a backup covered a failed or lost main copy.
+    /// `fault_recovered`: jobs met *because* a backup covered a failed or
+    /// lost main copy.
     FaultsRecovered,
-    /// Pending copies lost to a permanent processor fault.
+    /// `copy_lost`: pending copies lost to a permanent processor fault.
     CopiesLost,
-    /// Jobs that met their deadline.
+    /// `job_met`: jobs that met their deadline.
     JobsMet,
-    /// Jobs that missed their deadline (or were skipped/abandoned).
+    /// `job_missed`: jobs that missed their deadline (or were skipped/abandoned).
     JobsMissed,
-    /// (m,k) windows that newly entered violation.
+    /// `mk_violation`: (m,k) windows that newly entered violation.
     MkViolations,
-    /// Event-loop iterations aborted because the next event time did not
-    /// advance the clock. Always zero in a healthy run: the engine guards
-    /// against a zero-length step (which would spin a release build
-    /// forever) by flagging the stall and ending the run instead.
+    /// `engine_stall`: event-loop iterations aborted because the next event
+    /// time did not advance the clock. Always zero in a healthy run: the
+    /// engine guards against a zero-length step (which would spin a release
+    /// build forever) by flagging the stall and ending the run instead.
     EngineStalls,
     /// Requests accepted by the `mkss-serve` daemon (scheduled onto the
     /// worker pool; includes requests that later fail during execution).
@@ -152,12 +154,13 @@ impl CounterId {
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 #[non_exhaustive]
 pub enum HistogramId {
-    /// (m,k) distance-to-violation observed at each job resolution: how
-    /// many further misses the current window tolerates before violating
-    /// (0 = deeply red, every remaining job is do-or-die).
+    /// (m,k) distance-to-violation at each job resolution (the `job_met` /
+    /// `job_missed` payload): how many further misses the current window
+    /// tolerates before violating (0 = deeply red, every remaining job is
+    /// do-or-die).
     MkDistance,
     /// Backup release postponement θ in whole milliseconds (rounded up),
-    /// observed once per postponed backup.
+    /// one sample per `backup_release` event with θ > 0.
     BackupDelayMs,
     /// `mkss-serve` job-queue depth observed at each accepted submit
     /// (after the enqueue) — the daemon's backpressure signal.

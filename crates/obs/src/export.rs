@@ -245,8 +245,10 @@ fn push_u64_array(out: &mut String, values: &[u64]) {
     out.push(']');
 }
 
-/// Escape and quote `s` per RFC 8259.
-fn push_json_string(out: &mut String, s: &str) {
+/// Escape and quote `s` per RFC 8259, appending to `out` — the one JSON
+/// string escaper shared by the metrics document, the Chrome trace
+/// export and the `mkss-serve` protocol writer.
+pub fn push_json_string(out: &mut String, s: &str) {
     out.push('"');
     for ch in s.chars() {
         match ch {
@@ -277,7 +279,6 @@ fn push_json_f64(out: &mut String, value: f64) {
 mod tests {
     use super::*;
     use crate::event::CounterId;
-    use crate::recorder::Recorder;
     use crate::registry::Registry;
     use std::sync::Arc;
 

@@ -1,11 +1,12 @@
 //! Zero-dependency observability for the (m,k) standby-sparing simulator.
 //!
-//! This crate is the sink side of the engine event hooks: the simulator and
-//! the bench harness emit *events* (a counter increment, a histogram sample)
-//! through the [`Recorder`] trait, and this crate aggregates them in a
-//! sharded, contention-free [`Registry`], exports them as a human table or a
-//! hand-rolled JSON document ([`MetricsDoc`]), and serializes live progress
-//! lines through a single-writer [`Reporter`].
+//! This crate is the sink side of the engine event hook: the simulator
+//! emits one structured [`EngineEvent`] per simulated fact through the
+//! [`Recorder`] trait, and this crate folds those events into counters and
+//! histograms in a sharded, contention-free [`Registry`], captures them in
+//! a flight recorder ([`TraceRecorder`]), exports them as a human table or
+//! a hand-rolled JSON document ([`MetricsDoc`]), and serializes live
+//! progress lines through a single-writer [`Reporter`].
 //!
 //! Design constraints, in order:
 //!
@@ -14,7 +15,7 @@
 //!    allocates nothing (the zero-alloc counting-allocator test in
 //!    `mkss-sim` runs with the recorder absent and must keep passing
 //!    unchanged). [`NoopRecorder`] exists for callers that want a recorder
-//!    *object* with no effect; its methods are empty `#[inline]` bodies.
+//!    *object* with no effect; its one method is an empty `#[inline]` body.
 //! 2. **Deterministic aggregation.** Counters are commutative sums over
 //!    relaxed atomics; [`Registry::snapshot`] folds shards in catalog order,
 //!    so totals are identical for any `--jobs` value and any interleaving.
@@ -22,9 +23,9 @@
 //!    `mkss_core::par`, everything here is std-only — including the JSON
 //!    writer.
 //!
-//! The event catalog ([`CounterId`], [`HistogramId`]) is a closed enum
-//! rather than string keys so that emit sites are O(1) array indexing and
-//! typos are compile errors.
+//! The metric catalog ([`CounterId`], [`HistogramId`]) and the event
+//! catalog ([`TraceKind`]) are closed enums rather than string keys, so the
+//! fold is O(1) array indexing and typos are compile errors.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -39,7 +40,7 @@ mod span;
 mod trace;
 
 pub use event::{CounterId, HistogramId, Percentile};
-pub use export::{metrics_doc, MetricsDoc};
+pub use export::{metrics_doc, push_json_string, MetricsDoc};
 pub use log::{LogLevel, ParseLogLevelError, LOG_ENV_VAR};
 pub use recorder::{EchoRecorder, NoopRecorder, Recorder, RequestId, ScopedRecorder};
 pub use registry::{MetricsSnapshot, RecorderHandle, Registry};

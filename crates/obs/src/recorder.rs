@@ -1,44 +1,38 @@
 //! The [`Recorder`] trait — the only thing emit sites know about — and the
-//! two trivial implementations that bracket the cost spectrum.
+//! trivial and composing implementations around it.
 
 use std::sync::Arc;
 
-use crate::event::{CounterId, HistogramId};
 use crate::registry::RecorderHandle;
 use crate::reporter::Reporter;
 use crate::trace::EngineEvent;
 
-/// Sink for engine and harness events.
+/// Sink for engine events: one call per simulated fact.
 ///
 /// Implementations must be cheap and non-blocking: emit sites sit inside
 /// the simulator inner loop. They must also be oblivious — a recorder
 /// observes the simulation but never feeds back into it, which is what
 /// makes recorder-on and recorder-off runs byte-identical.
+///
+/// Counters and histograms are not emitted separately; a
+/// [`RecorderHandle`] derives them from each event through one table, so
+/// the counter totals and a captured trace cannot disagree:
+///
+/// | event kind | counters bumped | histogram sample |
+/// |---|---|---|
+/// | `mandatory_release`, `optional_select`, `optional_skip` | `jobs_released` + [`TraceKind::counter`](crate::TraceKind::counter) | — |
+/// | `backup_release` | `backups_released`; if payload θ > 0 also `backups_postponed` | `backup_delay_ms` = ⌈θ/1000⌉ when θ > 0 |
+/// | `transient_fault`, `permanent_fault` | `faults_injected` + its own counter | — |
+/// | `job_met`, `job_missed` | its own counter | `mk_distance` = payload |
+/// | every other kind | its own counter | — |
 pub trait Recorder: Send + Sync {
-    /// Add `by` to a counter.
-    fn incr(&self, counter: CounterId, by: u64);
-
-    /// Record one sample into a histogram.
-    fn observe(&self, histogram: HistogramId, value: u64);
-
-    /// Receive one structured engine event — the flight-recorder feed.
-    ///
-    /// Defaults to a no-op so aggregating recorders (registry handles)
-    /// stay unchanged; only trace-aware sinks like
-    /// [`TraceRecorder`](crate::TraceRecorder) override it.
-    #[inline]
-    fn event(&self, _event: &EngineEvent) {}
-
-    /// Add 1 to a counter (the overwhelmingly common case).
-    #[inline]
-    fn count(&self, counter: CounterId) {
-        self.incr(counter, 1);
-    }
+    /// Receive one structured engine event.
+    fn event(&self, event: &EngineEvent);
 }
 
 /// A recorder that discards everything.
 ///
-/// Both methods are empty `#[inline]` bodies, so with this recorder
+/// Its one method is an empty `#[inline]` body, so with this recorder
 /// attached an emit site reduces to a virtual call returning immediately;
 /// with no recorder attached at all (`None`), it reduces to one branch.
 #[derive(Debug, Clone, Copy, Default)]
@@ -46,10 +40,7 @@ pub struct NoopRecorder;
 
 impl Recorder for NoopRecorder {
     #[inline]
-    fn incr(&self, _counter: CounterId, _by: u64) {}
-
-    #[inline]
-    fn observe(&self, _histogram: HistogramId, _value: u64) {}
+    fn event(&self, _event: &EngineEvent) {}
 }
 
 /// Identifier of one request served by a long-running process, used to
@@ -114,22 +105,6 @@ impl std::fmt::Debug for ScopedRecorder {
 
 impl Recorder for ScopedRecorder {
     #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
-        self.local.incr(counter, by);
-        if let Some(global) = &self.global {
-            global.incr(counter, by);
-        }
-    }
-
-    #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        self.local.observe(histogram, value);
-        if let Some(global) = &self.global {
-            global.observe(histogram, value);
-        }
-    }
-
-    #[inline]
     fn event(&self, event: &EngineEvent) {
         self.local.event(event);
         if let Some(global) = &self.global {
@@ -139,9 +114,9 @@ impl Recorder for ScopedRecorder {
 }
 
 /// A recorder that aggregates into a registry shard *and* narrates each
-/// counter event as a line on a [`Reporter`] — the `MKSS_LOG=events`
-/// backend. Strictly a debugging aid: it is far too chatty for the bench
-/// harness and is only wired into the CLI and examples.
+/// event as one line on a [`Reporter`] — the `MKSS_LOG=events` backend.
+/// Strictly a debugging aid: it is far too chatty for the bench harness
+/// and is only wired into the CLI and examples.
 #[derive(Debug)]
 pub struct EchoRecorder {
     handle: RecorderHandle,
@@ -156,19 +131,8 @@ impl EchoRecorder {
 }
 
 impl Recorder for EchoRecorder {
-    fn incr(&self, counter: CounterId, by: u64) {
-        self.handle.incr(counter, by);
-        self.reporter
-            .line(&format!("event {} +{by}", counter.name()));
-    }
-
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        self.handle.observe(histogram, value);
-        self.reporter
-            .line(&format!("event {} observe {value}", histogram.name()));
-    }
-
     fn event(&self, event: &EngineEvent) {
+        self.handle.event(event);
         self.reporter.line(&format!(
             "event t={}us {} task={} job={} copy={} payload={}",
             event.at_us,
@@ -184,14 +148,26 @@ impl Recorder for EchoRecorder {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::{CounterId, HistogramId};
     use crate::registry::Registry;
+    use crate::trace::{CopyRole, TraceKind, PROC_NONE};
+
+    fn ev(kind: TraceKind, payload: u64) -> EngineEvent {
+        EngineEvent {
+            at_us: 10,
+            kind,
+            task: 1,
+            job: 2,
+            copy: CopyRole::None,
+            proc: PROC_NONE,
+            payload,
+        }
+    }
 
     #[test]
     fn noop_recorder_is_callable_through_dyn() {
         let r: Arc<dyn Recorder> = Arc::new(NoopRecorder);
-        r.count(CounterId::JobsReleased);
-        r.incr(CounterId::JobsMet, 7);
-        r.observe(HistogramId::MkDistance, 3);
+        r.event(&ev(TraceKind::JobMet, 3));
     }
 
     #[test]
@@ -203,13 +179,12 @@ mod tests {
             Arc::new(local.handle_at(0)),
             Some(Arc::new(global.handle_at(0))),
         );
-        scoped.incr(CounterId::JobsMet, 4);
-        scoped.observe(HistogramId::MkDistance, 2);
+        scoped.event(&ev(TraceKind::JobMet, 2));
         assert_eq!(scoped.request(), RequestId(7));
         assert_eq!(scoped.request().to_string(), "req-7");
         for registry in [&local, &global] {
             let snap = registry.snapshot();
-            assert_eq!(snap.counter(CounterId::JobsMet), 4);
+            assert_eq!(snap.counter(CounterId::JobsMet), 1);
             assert_eq!(snap.histogram(HistogramId::MkDistance)[2], 1);
         }
     }
@@ -218,25 +193,21 @@ mod tests {
     fn scoped_recorder_without_global_only_writes_locally() {
         let local = Arc::new(Registry::new(1));
         let scoped = ScopedRecorder::new(RequestId(0), Arc::new(local.handle_at(0)), None);
-        scoped.count(CounterId::ServeRequests);
-        assert_eq!(local.snapshot().counter(CounterId::ServeRequests), 1);
+        scoped.event(&ev(TraceKind::BackupCancel, 0));
+        assert_eq!(local.snapshot().counter(CounterId::BackupsCanceled), 1);
     }
 
     #[test]
     fn echo_recorder_aggregates_and_narrates() {
+        // Narration text is checked end to end in tests/obs_differential.rs.
         let registry = Arc::new(Registry::new(1));
-        let sink: Vec<u8> = Vec::new();
-        let reporter = Arc::new(Reporter::with_sink(Box::new(sink)));
-        let echo = EchoRecorder::new(registry.handle_at(0), Arc::clone(&reporter));
-        echo.count(CounterId::BackupsCanceled);
-        echo.observe(HistogramId::BackupDelayMs, 4);
+        let reporter = Arc::new(Reporter::with_sink(Box::new(std::io::sink())));
+        let echo = EchoRecorder::new(registry.handle_at(0), reporter);
+        echo.event(&ev(TraceKind::BackupCancel, 0));
+        echo.event(&ev(TraceKind::BackupRelease, 4_000));
         let snap = registry.snapshot();
         assert_eq!(snap.counter(CounterId::BackupsCanceled), 1);
-        assert_eq!(
-            snap.histogram(HistogramId::BackupDelayMs)
-                .iter()
-                .sum::<u64>(),
-            1
-        );
+        assert_eq!(snap.counter(CounterId::BackupsPostponed), 1);
+        assert_eq!(snap.histogram(HistogramId::BackupDelayMs)[3], 1);
     }
 }

@@ -6,6 +6,7 @@ use std::sync::Arc;
 
 use crate::event::{CounterId, HistogramId};
 use crate::recorder::Recorder;
+use crate::trace::{EngineEvent, TraceKind};
 
 /// One shard: a flat atomic cell per catalog entry.
 struct Shard {
@@ -101,26 +102,58 @@ impl fmt::Debug for Registry {
     }
 }
 
-/// A [`Recorder`] writing into one shard of a shared [`Registry`].
+/// A [`Recorder`] writing into one shard of a shared [`Registry`]: it
+/// folds each engine event through the table on [`Recorder`]. The
+/// inherent `incr`/`observe`/`count` serve metrics with no engine event
+/// behind them (the daemon's `serve_*` entries).
 #[derive(Debug, Clone)]
 pub struct RecorderHandle {
     registry: Arc<Registry>,
     shard: usize,
 }
 
-impl Recorder for RecorderHandle {
+impl RecorderHandle {
+    /// Add `by` to a counter.
     #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
+    pub fn incr(&self, counter: CounterId, by: u64) {
         // mkss-lint: ordering — commutative counter bump on the hot path; nothing reads it for synchronization
         self.registry.shards[self.shard].counters[counter.index()].fetch_add(by, Ordering::Relaxed);
     }
 
+    /// Add 1 to a counter.
     #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
+    pub fn count(&self, counter: CounterId) {
+        self.incr(counter, 1);
+    }
+
+    /// Record one sample into a histogram.
+    #[inline]
+    pub fn observe(&self, histogram: HistogramId, value: u64) {
         let bucket = histogram.bucket_of(value);
         // mkss-lint: ordering — commutative bucket bump, same contract as incr
         self.registry.shards[self.shard].histograms[histogram.index()][bucket]
             .fetch_add(1, Ordering::Relaxed);
+    }
+}
+
+impl Recorder for RecorderHandle {
+    #[inline]
+    fn event(&self, event: &EngineEvent) {
+        use TraceKind as K;
+        self.count(event.kind.counter());
+        match event.kind {
+            K::MandatoryRelease | K::OptionalSelect | K::OptionalSkip => {
+                self.count(CounterId::JobsReleased);
+            }
+            K::TransientFault | K::PermanentFault => self.count(CounterId::FaultsInjected),
+            K::JobMet | K::JobMissed => self.observe(HistogramId::MkDistance, event.payload),
+            // θ is in ticks (µs); the histogram counts whole ms, rounded up.
+            K::BackupRelease if event.payload > 0 => {
+                self.count(CounterId::BackupsPostponed);
+                self.observe(HistogramId::BackupDelayMs, event.payload.div_ceil(1000));
+            }
+            _ => {}
+        }
     }
 }
 
@@ -235,6 +268,103 @@ impl MetricsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The fold table, row by row: every kind's counter bumps and
+    /// histogram samples for a representative payload.
+    #[test]
+    fn every_trace_kind_folds_through_the_table() {
+        use crate::trace::{CopyRole, PROC_NONE};
+        use CounterId as C;
+        use HistogramId as H;
+        use TraceKind as K;
+        type Row = (K, u64, &'static [C], Option<(H, u64)>);
+        let table: [Row; 17] = [
+            (
+                K::MandatoryRelease,
+                1000,
+                &[C::JobsReleased, C::MandatoryReleased],
+                None,
+            ),
+            (
+                K::OptionalSelect,
+                2,
+                &[C::JobsReleased, C::OptionalSelected],
+                None,
+            ),
+            (
+                K::OptionalSkip,
+                0,
+                &[C::JobsReleased, C::OptionalSkipped],
+                None,
+            ),
+            (K::OptionalAbandon, 0, &[C::OptionalAbandoned], None),
+            (K::BackupRelease, 0, &[C::BackupsReleased], None),
+            (
+                K::BackupRelease,
+                2_500,
+                &[C::BackupsReleased, C::BackupsPostponed],
+                Some((H::BackupDelayMs, 3)),
+            ),
+            (K::BackupCancel, 0, &[C::BackupsCanceled], None),
+            (K::BackupComplete, 1, &[C::BackupsCompleted], None),
+            (K::OptionalComplete, 0, &[C::OptionalExecuted], None),
+            (
+                K::TransientFault,
+                0,
+                &[C::FaultsInjected, C::TransientFaults],
+                None,
+            ),
+            (
+                K::PermanentFault,
+                0,
+                &[C::FaultsInjected, C::PermanentFaults],
+                None,
+            ),
+            (K::CopyLost, 0, &[C::CopiesLost], None),
+            (K::FaultRecovered, 0, &[C::FaultsRecovered], None),
+            (K::JobMet, 5, &[C::JobsMet], Some((H::MkDistance, 5))),
+            (K::JobMissed, 0, &[C::JobsMissed], Some((H::MkDistance, 0))),
+            (K::MkViolation, (2 << 32) | 4, &[C::MkViolations], None),
+            (K::EngineStall, 0, &[C::EngineStalls], None),
+        ];
+        for kind in TraceKind::ALL {
+            assert!(
+                table.iter().any(|row| row.0 == kind),
+                "{} has no row",
+                kind.name()
+            );
+        }
+        for (kind, payload, counters, sample) in table {
+            let registry = Arc::new(Registry::new(1));
+            registry.handle_at(0).event(&EngineEvent {
+                at_us: 7,
+                kind,
+                task: 0,
+                job: 0,
+                copy: CopyRole::None,
+                proc: PROC_NONE,
+                payload,
+            });
+            let snap = registry.snapshot();
+            for c in CounterId::ALL {
+                let expected = u64::from(counters.contains(&c));
+                assert_eq!(snap.counter(c), expected, "{} -> {}", kind.name(), c.name());
+            }
+            for h in HistogramId::ALL {
+                let mut expected = [0u64; HistogramId::BUCKETS];
+                if let Some((hist, value)) = sample.filter(|&(hist, _)| hist == h) {
+                    expected[hist.bucket_of(value)] = 1;
+                }
+                assert_eq!(
+                    snap.histogram(h),
+                    expected,
+                    "{} -> {}",
+                    kind.name(),
+                    h.name()
+                );
+            }
+        }
+    }
 
     #[test]
     fn snapshot_sums_across_shards() {

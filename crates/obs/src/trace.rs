@@ -15,7 +15,8 @@
 
 use std::sync::{Arc, Mutex, MutexGuard};
 
-use crate::event::{CounterId, HistogramId};
+use crate::event::CounterId;
+use crate::export::push_json_string;
 use crate::recorder::Recorder;
 
 /// A poisoned buffer mutex just means another recorder panicked mid-push;
@@ -123,6 +124,29 @@ impl TraceKind {
             TraceKind::JobMissed => "job_missed",
             TraceKind::MkViolation => "mk_violation",
             TraceKind::EngineStall => "engine_stall",
+        }
+    }
+
+    /// The counter this kind bumps once per event — the first column of
+    /// the fold table documented on [`Recorder`].
+    pub const fn counter(self) -> CounterId {
+        match self {
+            TraceKind::MandatoryRelease => CounterId::MandatoryReleased,
+            TraceKind::OptionalSelect => CounterId::OptionalSelected,
+            TraceKind::OptionalSkip => CounterId::OptionalSkipped,
+            TraceKind::OptionalAbandon => CounterId::OptionalAbandoned,
+            TraceKind::BackupRelease => CounterId::BackupsReleased,
+            TraceKind::BackupCancel => CounterId::BackupsCanceled,
+            TraceKind::BackupComplete => CounterId::BackupsCompleted,
+            TraceKind::OptionalComplete => CounterId::OptionalExecuted,
+            TraceKind::TransientFault => CounterId::TransientFaults,
+            TraceKind::PermanentFault => CounterId::PermanentFaults,
+            TraceKind::CopyLost => CounterId::CopiesLost,
+            TraceKind::FaultRecovered => CounterId::FaultsRecovered,
+            TraceKind::JobMet => CounterId::JobsMet,
+            TraceKind::JobMissed => CounterId::JobsMissed,
+            TraceKind::MkViolation => CounterId::MkViolations,
+            TraceKind::EngineStall => CounterId::EngineStalls,
         }
     }
 }
@@ -269,8 +293,9 @@ impl TraceBuffer {
 }
 
 /// A [`Recorder`] decorator that captures the structured event stream
-/// into a [`TraceBuffer`] while forwarding everything — counters,
-/// histograms, and the events themselves — to an optional inner recorder.
+/// into a [`TraceBuffer`] while forwarding every event to an optional
+/// inner recorder (typically a registry handle, which folds it into
+/// counters).
 ///
 /// Like every recorder it is oblivious: attaching one leaves the
 /// simulation byte-identical. The buffer is fully pre-allocated at
@@ -289,7 +314,7 @@ impl TraceRecorder {
         }
     }
 
-    /// Capture the event stream while forwarding everything to `inner`.
+    /// Capture the event stream while forwarding every event to `inner`.
     pub fn wrapping(inner: Arc<dyn Recorder>, capacity: usize) -> TraceRecorder {
         TraceRecorder {
             inner: Some(inner),
@@ -323,20 +348,6 @@ impl std::fmt::Debug for TraceRecorder {
 }
 
 impl Recorder for TraceRecorder {
-    #[inline]
-    fn incr(&self, counter: CounterId, by: u64) {
-        if let Some(inner) = &self.inner {
-            inner.incr(counter, by);
-        }
-    }
-
-    #[inline]
-    fn observe(&self, histogram: HistogramId, value: u64) {
-        if let Some(inner) = &self.inner {
-            inner.observe(histogram, value);
-        }
-    }
-
     fn event(&self, event: &EngineEvent) {
         if let Some(inner) = &self.inner {
             inner.event(event);
@@ -410,9 +421,10 @@ pub fn chrome_trace(runs: &[(&str, &TraceBuffer)]) -> String {
     let mut entries: Vec<String> = Vec::new();
     for (i, (label, buffer)) in runs.iter().enumerate() {
         let pid = i + 1;
+        let mut name = String::with_capacity(label.len() + 2);
+        push_json_string(&mut name, label);
         entries.push(format!(
-            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":{}}}}}",
-            json_string(label)
+            "{{\"ph\":\"M\",\"pid\":{pid},\"name\":\"process_name\",\"args\":{{\"name\":{name}}}}}"
         ));
         for (tid, name) in [(0, "primary"), (1, "spare"), (2, "engine")] {
             entries.push(format!(
@@ -520,24 +532,6 @@ pub fn trace_json_fragment(buffer: &TraceBuffer) -> String {
         ));
     }
     out.push_str("]}");
-    out
-}
-
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
     out
 }
 
@@ -732,12 +726,10 @@ mod tests {
         use crate::registry::Registry;
         let registry = Arc::new(Registry::new(1));
         let recorder = TraceRecorder::wrapping(Arc::new(registry.handle_at(0)), 8);
-        recorder.incr(CounterId::JobsMet, 2);
-        recorder.observe(HistogramId::MkDistance, 1);
         recorder.event(&ev(10, TraceKind::JobMet, 1, 0, 3));
         let snap = registry.snapshot();
-        assert_eq!(snap.counter(CounterId::JobsMet), 2);
-        assert_eq!(snap.histogram(HistogramId::MkDistance)[1], 1);
+        assert_eq!(snap.counter(CounterId::JobsMet), 1);
+        assert_eq!(snap.histogram(crate::HistogramId::MkDistance)[3], 1);
         let buffer = recorder.snapshot();
         assert_eq!(buffer.len(), 1);
         assert_eq!(buffer.iter().next().expect("event").event.at_us, 10);

@@ -11,6 +11,10 @@
 
 use std::fmt;
 
+/// Escape and quote a string per RFC 8259 — the `mkss-obs` escaper, so
+/// protocol lines and metrics documents quote identically.
+pub use mkss_obs::push_json_string;
+
 /// Maximum nesting depth accepted by [`parse`].
 pub const MAX_DEPTH: usize = 64;
 
@@ -347,25 +351,6 @@ impl Parser<'_> {
             }),
         }
     }
-}
-
-/// Escape and quote `s` per RFC 8259, appending to `out`.
-pub fn push_json_string(out: &mut String, s: &str) {
-    out.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
 }
 
 /// Append a float that always parses as a JSON number (non-finite values

@@ -43,7 +43,8 @@ use std::time::Duration;
 
 use mkss_core::par::WorkerPool;
 use mkss_obs::{
-    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, Registry, Stopwatch,
+    metrics_doc, CounterId, HistogramId, MetricsDoc, MetricsSnapshot, Recorder, RecorderHandle,
+    Registry, Stopwatch,
 };
 use mkss_sim::prelude::WorkspacePool;
 
@@ -427,7 +428,7 @@ fn handle_connection(conn: Conn, shared: &Arc<Shared>) {
 fn respond(
     request: Request,
     shared: &Arc<Shared>,
-    counters: &impl Recorder,
+    counters: &RecorderHandle,
     tee: &Arc<dyn Recorder>,
     writer: &mut Conn,
 ) -> io::Result<bool> {

@@ -57,7 +57,12 @@
 //! job releases and resolutions, mandatory/optional classification,
 //! backup release and postponement (`r̃ = r + θ`), backup cancellation,
 //! fault injection and recovery, and the (m,k) distance-to-violation at
-//! each resolution. The recorder lives on the workspace rather than on
+//! each resolution. Each of these facts is a single `emit_event` call:
+//! it tallies the run's [`JobStats`] and hands one
+//! [`EngineEvent`](mkss_obs::EngineEvent) to the recorder, which folds
+//! its counters and histograms from that same event — so the report,
+//! the counters and a captured trace cannot disagree. The recorder
+//! lives on the workspace rather than on
 //! [`SimConfig`] because the config stays `Copy + PartialEq +
 //! Serialize`, which a trait-object handle cannot be. Recorders only
 //! observe — they never feed back into the run — so a recorder-on
@@ -70,7 +75,7 @@ use mkss_core::job::{CopyKind, Job, JobClass};
 use mkss_core::mk::MkMonitor;
 use mkss_core::task::{TaskId, TaskSet};
 use mkss_core::time::Time;
-use mkss_obs::{CopyRole, CounterId, EngineEvent, HistogramId, Recorder, TraceKind, PROC_NONE};
+use mkss_obs::{CopyRole, EngineEvent, Recorder, TraceKind, PROC_NONE};
 use serde::{Deserialize, Serialize};
 use std::sync::Arc;
 
@@ -716,31 +721,16 @@ const fn copy_role(kind: CopyKind) -> CopyRole {
 }
 
 impl<'a, 'w> Engine<'a, 'w> {
-    /// Bump a counter on the attached recorder, if any. One predictable
-    /// branch when detached — cheap enough for every emit site.
-    #[inline]
-    fn emit(&self, counter: CounterId) {
-        if let Some(recorder) = &self.ws.recorder.0 {
-            recorder.incr(counter, 1);
-        }
-    }
-
-    /// Record a histogram sample on the attached recorder, if any.
-    #[inline]
-    fn emit_observe(&self, histogram: HistogramId, value: u64) {
-        if let Some(recorder) = &self.ws.recorder.0 {
-            recorder.observe(histogram, value);
-        }
-    }
-
-    /// Hand one structured event to the attached recorder, if any — the
-    /// flight-recorder feed. The event is a stack-built `Copy` value
-    /// constructed inside the gate, so the detached cost stays one
+    /// Record one simulated fact — the engine's only record call. The
+    /// fact is tallied into the run's [`JobStats`], then handed to the
+    /// attached recorder, if any, which derives its counters and
+    /// histograms from the same event. The event is a stack-built `Copy`
+    /// value constructed inside the gate, so the detached cost stays one
     /// predictable branch and zero allocations.
     #[inline]
     #[allow(clippy::too_many_arguments)] // internal: mirrors EngineEvent's field list
     fn emit_event(
-        &self,
+        &mut self,
         at: Time,
         kind: TraceKind,
         task: u32,
@@ -749,6 +739,7 @@ impl<'a, 'w> Engine<'a, 'w> {
         proc: u8,
         payload: u64,
     ) {
+        self.stats.tally(kind);
         if let Some(recorder) = &self.ws.recorder.0 {
             recorder.event(&EngineEvent {
                 at_us: at.ticks(),
@@ -760,37 +751,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 payload,
             });
         }
-    }
-
-    /// Narrate one backup-copy release: postponed (`r̃ = r + θ`, θ > 0)
-    /// releases additionally sample θ into the delay histogram. The
-    /// structured event carries the *effective* release time `r + θ`
-    /// with θ (in ticks) as payload.
-    #[inline]
-    fn emit_backup_release(
-        &self,
-        backup_delay: Time,
-        task: u32,
-        job: u32,
-        proc: ProcId,
-        release: Time,
-    ) {
-        self.emit(CounterId::BackupsReleased);
-        if !backup_delay.is_zero() {
-            self.emit(CounterId::BackupsPostponed);
-            // Integer div_ceil on ticks: exact for every delay, and no
-            // float math inside the recorder gate.
-            self.emit_observe(HistogramId::BackupDelayMs, backup_delay.as_ms_ceil());
-        }
-        self.emit_event(
-            release + backup_delay,
-            TraceKind::BackupRelease,
-            task,
-            job,
-            CopyRole::Backup,
-            proc.index() as u8,
-            backup_delay.ticks(),
-        );
     }
 
     // mkss-lint: hot-path begin
@@ -844,7 +804,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     // forever. Hard invariant in every build: flag the
                     // stall and end the run (unresolved jobs miss at the
                     // horizon below) instead of silently spinning.
-                    self.emit(CounterId::EngineStalls);
                     self.emit_event(
                         self.clock,
                         TraceKind::EngineStall,
@@ -958,8 +917,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             return;
         }
         self.fault_applied = true;
-        self.emit(CounterId::FaultsInjected);
-        self.emit(CounterId::PermanentFaults);
         self.dispatch_dirty = [true; 2];
         let p = pf.proc;
         self.emit_event(
@@ -984,8 +941,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             debug_assert_eq!(self.ws.copies[idx].state, CopyState::Pending);
             if self.ws.copies[idx].proc == p {
                 self.ws.copies[idx].state = CopyState::Lost;
-                self.stats.copies_lost += 1;
-                self.emit(CounterId::CopiesLost);
                 let copy = &self.ws.copies[idx];
                 self.emit_event(
                     self.clock,
@@ -1058,19 +1013,15 @@ impl<'a, 'w> Engine<'a, 'w> {
         let now_violated = tstate.monitor.violated();
         let distance = tstate.monitor.distance_to_violation();
         let mk = tstate.monitor.constraint();
-        self.emit_observe(HistogramId::MkDistance, u64::from(distance));
         let newly_violated = now_violated && !was_violated;
         if newly_violated {
             self.violations.push(MkViolation {
                 task: job.id.task,
                 job_index: job.id.index,
             });
-            self.emit(CounterId::MkViolations);
         }
         match outcome {
             JobOutcome::Met => {
-                self.stats.met += 1;
-                self.emit(CounterId::JobsMet);
                 self.emit_event(
                     at,
                     TraceKind::JobMet,
@@ -1082,8 +1033,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 );
             }
             JobOutcome::Missed => {
-                self.stats.missed += 1;
-                self.emit(CounterId::JobsMissed);
                 self.emit_event(
                     at,
                     TraceKind::JobMissed,
@@ -1223,8 +1172,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             };
             policy.on_release(&ctx)
         };
-        self.stats.released += 1;
-        self.emit(CounterId::JobsReleased);
 
         let job_entry = self.ws.jobs.len();
         // Normalize the two mandatory forms.
@@ -1255,8 +1202,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     (1..=1000).contains(&main_speed_permil),
                     "main speed must be in 1..=1000 permil"
                 );
-                self.stats.mandatory += 1;
-                self.emit(CounterId::MandatoryReleased);
                 self.emit_event(
                     release,
                     TraceKind::MandatoryRelease,
@@ -1319,12 +1264,15 @@ impl<'a, 'w> Engine<'a, 'w> {
                                 .calendar
                                 .push(backup_release, EventKind::CopyRelease { copy: backup_idx });
                         }
-                        self.emit_backup_release(
-                            backup_delay,
+                        // Stamped at the effective release r + θ, θ in ticks.
+                        self.emit_event(
+                            backup_release,
+                            TraceKind::BackupRelease,
                             id.0 as u32,
                             index as u32,
-                            backup_proc,
-                            release,
+                            CopyRole::Backup,
+                            backup_proc.index() as u8,
+                            backup_delay.ticks(),
                         );
                     }
                 } else {
@@ -1360,12 +1308,14 @@ impl<'a, 'w> Engine<'a, 'w> {
                             .calendar
                             .push(backup_release, EventKind::CopyRelease { copy: idx });
                     }
-                    self.emit_backup_release(
-                        backup_delay,
+                    self.emit_event(
+                        backup_release,
+                        TraceKind::BackupRelease,
                         id.0 as u32,
                         index as u32,
-                        main_proc.other(),
-                        release,
+                        CopyRole::Backup,
+                        main_proc.other().index() as u8,
+                        backup_delay.ticks(),
                     );
                 }
                 for &c in &copies[..copy_count as usize] {
@@ -1384,8 +1334,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 unreachable!("normalized to MandatoryScaled above")
             }
             ReleaseDecision::Optional { proc } => {
-                self.stats.optional_selected += 1;
-                self.emit(CounterId::OptionalSelected);
                 let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
                 let proc = self.live_proc(proc);
                 self.emit_event(
@@ -1424,8 +1372,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 self.ws.open_jobs.push(job_entry);
             }
             ReleaseDecision::Skip => {
-                self.stats.optional_skipped += 1;
-                self.emit(CounterId::OptionalSkipped);
                 self.emit_event(
                     release,
                     TraceKind::OptionalSkip,
@@ -1515,8 +1461,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                 && copy.release <= self.clock
                 && !copy.job.feasible_from(self.clock, copy.remaining)
             {
-                self.stats.optional_abandoned += 1;
-                self.emit(CounterId::OptionalAbandoned);
                 self.emit_event(
                     self.clock,
                     TraceKind::OptionalAbandon,
@@ -1753,9 +1697,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             let ev_job = self.ws.copies[c].job.id.index as u32;
             let ev_role = copy_role(self.ws.copies[c].kind);
             if faulted {
-                self.stats.transient_faults += 1;
-                self.emit(CounterId::FaultsInjected);
-                self.emit(CounterId::TransientFaults);
                 self.emit_event(
                     self.clock,
                     TraceKind::TransientFault,
@@ -1773,8 +1714,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             self.deactivate_copy(c);
             match self.ws.copies[c].kind {
                 CopyKind::Backup => {
-                    self.stats.backups_completed += 1;
-                    self.emit(CounterId::BackupsCompleted);
                     self.emit_event(
                         self.clock,
                         TraceKind::BackupComplete,
@@ -1786,7 +1725,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     );
                 }
                 CopyKind::Optional if !faulted => {
-                    self.emit(CounterId::OptionalExecuted);
                     self.emit_event(
                         self.clock,
                         TraceKind::OptionalComplete,
@@ -1828,7 +1766,6 @@ impl<'a, 'w> Engine<'a, 'w> {
                     });
                 self.resolve(job_idx, JobOutcome::Met, self.clock);
                 if recovered {
-                    self.emit(CounterId::FaultsRecovered);
                     let copy = &self.ws.copies[c];
                     self.emit_event(
                         self.clock,
@@ -1843,8 +1780,6 @@ impl<'a, 'w> Engine<'a, 'w> {
             }
             if let Some(sib) = self.ws.copies[c].sibling {
                 if self.ws.copies[sib].state == CopyState::Pending {
-                    self.stats.backups_canceled += 1;
-                    self.emit(CounterId::BackupsCanceled);
                     let sibling = &self.ws.copies[sib];
                     self.emit_event(
                         self.clock,
@@ -2265,12 +2200,19 @@ mod tests {
     /// every released job at the horizon.
     #[test]
     fn zero_length_step_ends_the_run_instead_of_spinning() {
-        use mkss_obs::Registry;
+        use mkss_obs::TraceRecorder;
 
         let ts = fig1_set();
         let config = SimConfig::active_only(Time::from_ms(20));
-        let registry = Arc::new(Registry::new(1));
-        let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+        let tracer = Arc::new(TraceRecorder::with_capacity(1024));
+        let mut ws = SimWorkspace::with_recorder(Arc::clone(&tracer) as Arc<dyn Recorder>);
+        let stalls = || {
+            tracer
+                .snapshot()
+                .iter()
+                .filter(|r| r.event.kind == TraceKind::EngineStall)
+                .count()
+        };
 
         // Forge a release entry for τ1's *second* job at t = 0. The
         // first `process_releases` pass advances τ1's `next_index` to 2,
@@ -2294,12 +2236,7 @@ mod tests {
             },
         );
 
-        let snap = registry.snapshot();
-        assert_eq!(
-            snap.counter(CounterId::EngineStalls),
-            1,
-            "stall not flagged"
-        );
+        assert_eq!(stalls(), 1, "stall not flagged");
         // The run still terminates and accounts for everything it
         // released before stopping: both t=0 jobs miss at the horizon.
         assert_eq!(report.stats.released, 2);
@@ -2317,7 +2254,7 @@ mod tests {
             TimeAdvance::Calendar,
             |_| {},
         );
-        assert_eq!(registry.snapshot().counter(CounterId::EngineStalls), 1);
+        assert_eq!(stalls(), 1);
         assert_eq!(clean.stats.met, 3);
     }
 

@@ -2,6 +2,7 @@
 
 use mkss_core::task::TaskId;
 use mkss_core::time::Time;
+use mkss_obs::TraceKind;
 use serde::{Deserialize, Serialize};
 
 use crate::power::{Energy, EnergyBreakdown};
@@ -16,7 +17,8 @@ pub struct MkViolation {
     pub job_index: u64,
 }
 
-/// Aggregate job statistics of one run.
+/// Aggregate job statistics of one run, tallied from the same engine
+/// events a recorder receives (see [`JobStats::tally`]).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct JobStats {
     /// Jobs released within the horizon.
@@ -43,6 +45,35 @@ pub struct JobStats {
     pub met: u64,
     /// Jobs resolved as missed (within the horizon).
     pub missed: u64,
+}
+
+impl JobStats {
+    /// Count one engine event: `released` counts the three release kinds,
+    /// each other field exactly one kind; the remaining kinds count nothing.
+    #[inline]
+    pub fn tally(&mut self, kind: TraceKind) {
+        use TraceKind as K;
+        if matches!(
+            kind,
+            K::MandatoryRelease | K::OptionalSelect | K::OptionalSkip
+        ) {
+            self.released += 1;
+        }
+        let field = match kind {
+            K::MandatoryRelease => &mut self.mandatory,
+            K::OptionalSelect => &mut self.optional_selected,
+            K::OptionalSkip => &mut self.optional_skipped,
+            K::OptionalAbandon => &mut self.optional_abandoned,
+            K::BackupCancel => &mut self.backups_canceled,
+            K::BackupComplete => &mut self.backups_completed,
+            K::TransientFault => &mut self.transient_faults,
+            K::CopyLost => &mut self.copies_lost,
+            K::JobMet => &mut self.met,
+            K::JobMissed => &mut self.missed,
+            _ => return,
+        };
+        *field += 1;
+    }
 }
 
 /// Result of one simulation run.
@@ -106,5 +137,29 @@ mod tests {
             job_index: 3,
         });
         assert!(!r.mk_assured());
+    }
+
+    #[test]
+    fn tally_counts_releases_once_and_other_kinds_in_their_field() {
+        let mut stats = JobStats::default();
+        for kind in TraceKind::ALL {
+            stats.tally(kind);
+        }
+        assert_eq!(
+            stats,
+            JobStats {
+                released: 3,
+                mandatory: 1,
+                optional_selected: 1,
+                optional_skipped: 1,
+                optional_abandoned: 1,
+                backups_canceled: 1,
+                backups_completed: 1,
+                transient_faults: 1,
+                copies_lost: 1,
+                met: 1,
+                missed: 1,
+            }
+        );
     }
 }

@@ -4,15 +4,19 @@
 //! allocations (the report's policy-name `String` and nothing per
 //! event). A counting `#[global_allocator]` makes regressions — a
 //! reintroduced per-event `clone()`, an ungated trace push — fail
-//! loudly rather than silently costing throughput.
+//! loudly rather than silently costing throughput. The same holds with a
+//! registry attached: folding each event into counters and histograms
+//! must not allocate either.
 //!
 //! The library itself forbids unsafe code; the allocator shim lives
 //! here, in the test crate, where `unsafe` is unavoidable by design.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
 
 use mkss_core::prelude::*;
+use mkss_obs::{CounterId, Registry};
 use mkss_sim::prelude::*;
 
 /// Passthrough to the system allocator that counts allocation calls
@@ -115,5 +119,26 @@ fn warmed_workspace_runs_allocate_constantly_and_sparsely() {
     assert!(
         long_allocs <= 4,
         "hot path allocates too much per run: {long_allocs} allocations"
+    );
+
+    // Second arm: a registry attached, so every event is folded into its
+    // counters and histograms. The fold must add no per-event allocation.
+    let registry = Arc::new(Registry::new(1));
+    let mut ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+    std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &long));
+    let short_allocs = allocations_during(|| {
+        std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &short));
+    });
+    let long_allocs = allocations_during(|| {
+        std::hint::black_box(simulate_in(&mut ws, &ts, &mut Dup, &long));
+    });
+    assert!(
+        registry.snapshot().counter(CounterId::BackupsPostponed) > 0,
+        "the registry heard nothing"
+    );
+    assert_eq!(
+        short_allocs, long_allocs,
+        "per-event allocations with a registry attached: {short_allocs} allocs \
+         at 400 ms vs {long_allocs} at 1600 ms"
     );
 }

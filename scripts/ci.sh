@@ -117,6 +117,39 @@ assert len(tracks) > 1, f"expected one track per policy, got {tracks}"
 print(f"chrome trace ok: {len(events)} events, {opens} spans, "
       f"{len(tracks)} policy tracks")
 PY
+# Counters are folded from the same events the flight recorder captures,
+# so one run with both exports must agree: per-name instant counts summed
+# over the policy tracks equal the metrics document's counters. Checked
+# only when no track dropped events (each track's seqs are 0..n-1).
+cargo run --release -q -p mkss-cli -- compare "$tmpdir/set.json" \
+    --horizon-ms 200 --metrics-out "$tmpdir/metrics-traced.json" \
+    --trace-out "$tmpdir/trace-metrics.json" > /dev/null
+python3 - "$tmpdir/trace-metrics.json" "$tmpdir/metrics-traced.json" <<'PY'
+import json, sys
+from collections import Counter, defaultdict
+instants = [e for e in json.load(open(sys.argv[1]))["traceEvents"] if e["ph"] == "i"]
+counters = json.load(open(sys.argv[2]))["counters"]
+seqs = defaultdict(list)
+for e in instants:
+    seqs[e["pid"]].append(e["args"]["seq"])
+if any(sorted(s) != list(range(len(s))) for s in seqs.values()):
+    print("trace/metrics cross-check skipped: the capture dropped events")
+    sys.exit(0)
+n = Counter(e["name"] for e in instants)
+expected = {
+    "jobs_met": n["job_met"],
+    "jobs_missed": n["job_missed"],
+    "backups_canceled": n["backup_cancel"],
+    "backups_completed": n["backup_complete"],
+    "optional_executed": n["optional_complete"],
+    "jobs_released": n["mandatory_release"] + n["optional_select"] + n["optional_skip"],
+}
+assert expected["jobs_released"] > 0, "cross-check run released no jobs"
+diverged = {k: (v, counters[k]) for k, v in expected.items() if counters[k] != v}
+assert not diverged, f"trace instants vs metrics counters (trace, metrics): {diverged}"
+print("trace/metrics cross-check ok: "
+      + ", ".join(f"{k}={v}" for k, v in expected.items()))
+PY
 # The recorder-off hot path must still allocate nothing.
 cargo test --release -q -p mkss-sim --test zero_alloc
 

@@ -5,12 +5,16 @@
 //! across task sets, every paper policy, fault scenarios, and trace
 //! recording on and off. Alongside, the registry totals themselves must
 //! be deterministic: two recorder-on runs of the same input count the
-//! same events.
+//! same events, and they must agree with the captured event stream and
+//! the report's `JobStats`, which are tallied from the same events.
 
 use std::io::Write;
 use std::sync::{Arc, Mutex};
 
-use mkss::obs::{CounterId, EchoRecorder, Registry, Reporter, TraceRecorder};
+use mkss::obs::{
+    CounterId, EchoRecorder, HistogramId, MetricsSnapshot, Registry, Reporter, TraceBuffer,
+    TraceKind, TraceRecorder, DEFAULT_TRACE_CAPACITY,
+};
 use mkss::prelude::*;
 
 /// A cloneable in-memory `Reporter` sink, so a test can read back what
@@ -43,12 +47,76 @@ fn fault_configs() -> Vec<FaultConfig> {
     ]
 }
 
+/// One run's three tallies of the same facts must agree: the per-kind
+/// event counts of the capture, the registry's counter and histogram
+/// delta, and the report's `JobStats`.
+fn assert_tallies_agree(
+    buffer: &TraceBuffer,
+    delta: &MetricsSnapshot,
+    stats: &JobStats,
+    ctx: &str,
+) {
+    assert_eq!(buffer.dropped(), 0, "capture overflowed: {ctx}");
+    let n = |kind: TraceKind| buffer.iter().filter(|r| r.event.kind == kind).count() as u64;
+    for kind in TraceKind::ALL {
+        assert_eq!(
+            delta.counter(kind.counter()),
+            n(kind),
+            "{} events vs {} counter: {ctx}",
+            kind.name(),
+            kind.counter().name()
+        );
+    }
+    let released =
+        n(TraceKind::MandatoryRelease) + n(TraceKind::OptionalSelect) + n(TraceKind::OptionalSkip);
+    assert_eq!(delta.counter(CounterId::JobsReleased), released, "{ctx}");
+    assert_eq!(
+        delta.counter(CounterId::FaultsInjected),
+        n(TraceKind::TransientFault) + n(TraceKind::PermanentFault),
+        "{ctx}"
+    );
+    let postponed = buffer
+        .iter()
+        .filter(|r| r.event.kind == TraceKind::BackupRelease && r.event.payload > 0)
+        .count() as u64;
+    assert_eq!(
+        delta.counter(CounterId::BackupsPostponed),
+        postponed,
+        "{ctx}"
+    );
+    let samples = |h: HistogramId| delta.histogram(h).iter().sum::<u64>();
+    assert_eq!(samples(HistogramId::BackupDelayMs), postponed, "{ctx}");
+    assert_eq!(
+        samples(HistogramId::MkDistance),
+        n(TraceKind::JobMet) + n(TraceKind::JobMissed),
+        "{ctx}"
+    );
+    let expected = JobStats {
+        released,
+        mandatory: n(TraceKind::MandatoryRelease),
+        optional_selected: n(TraceKind::OptionalSelect),
+        optional_skipped: n(TraceKind::OptionalSkip),
+        optional_abandoned: n(TraceKind::OptionalAbandon),
+        backups_canceled: n(TraceKind::BackupCancel),
+        backups_completed: n(TraceKind::BackupComplete),
+        transient_faults: n(TraceKind::TransientFault),
+        copies_lost: n(TraceKind::CopyLost),
+        met: n(TraceKind::JobMet),
+        missed: n(TraceKind::JobMissed),
+    };
+    assert_eq!(*stats, expected, "report stats vs captured events: {ctx}");
+}
+
 #[test]
 fn recorder_on_reports_are_byte_identical_to_recorder_off() {
     let horizon = Time::from_ms(500);
     let registry = Arc::new(Registry::new(1));
+    let tracer = Arc::new(TraceRecorder::wrapping(
+        Arc::new(registry.handle_at(0)),
+        DEFAULT_TRACE_CAPACITY,
+    ));
     let mut plain_ws = SimWorkspace::new();
-    let mut observed_ws = SimWorkspace::with_recorder(Arc::new(registry.handle_at(0)));
+    let mut observed_ws = SimWorkspace::with_recorder(Arc::clone(&tracer) as Arc<dyn Recorder>);
     let mut runs = 0u32;
     for (seed, util) in [(11u64, 0.3), (22, 0.5), (33, 0.7)] {
         let Some(ts) = Generator::new(WorkloadConfig::paper(), seed).schedulable_set(util) else {
@@ -69,13 +137,23 @@ fn recorder_on_reports_are_byte_identical_to_recorder_off() {
                         .build(&ts, &BuildOptions::default())
                         .expect("schedulable");
                     let plain = simulate_in(&mut plain_ws, &ts, plain_policy.as_mut(), &config);
+                    let before = registry.snapshot();
                     let observed =
                         simulate_in(&mut observed_ws, &ts, observed_policy.as_mut(), &config);
+                    let ctx = format!(
+                        "seed {seed} util {util} policy {kind} trace {record_trace} \
+                         faults {faults:?}"
+                    );
                     assert_eq!(
                         serde_json::to_string(&plain).expect("report serializes"),
                         serde_json::to_string(&observed).expect("report serializes"),
-                        "recorder changed the report: seed {seed} util {util} \
-                         policy {kind} trace {record_trace} faults {faults:?}"
+                        "recorder changed the report: {ctx}"
+                    );
+                    assert_tallies_agree(
+                        &tracer.take(),
+                        &registry.snapshot().delta(&before),
+                        &observed.stats,
+                        &ctx,
                     );
                     runs += 1;
                 }
@@ -148,8 +226,16 @@ fn echo_narration_carries_sim_time_and_leaves_the_report_untouched() {
         assert!(line.contains(" task="), "{line}");
         assert!(line.contains(" job="), "{line}");
     }
-    // Counter narration rides along too — both hooks share the reporter.
-    assert!(narration.contains("event jobs_released"), "{narration}");
+    // One narration line per fact, and nothing else: the `job_met` lines
+    // number exactly the `jobs_met` counter folded from the same events.
+    assert_eq!(timed.len(), narration.lines().count(), "{narration}");
+    let met_lines = timed.iter().filter(|l| l.contains("us job_met ")).count() as u64;
+    assert!(met_lines > 0, "{narration}");
+    assert_eq!(
+        met_lines,
+        registry.snapshot().counter(CounterId::JobsMet),
+        "{narration}"
+    );
 }
 
 #[test]
