@@ -9,11 +9,13 @@ use mkss_analysis::rotation::{find_rotation, RotationConfig};
 use mkss_analysis::rta::{analyze, is_schedulable_r_pattern, InterferenceModel};
 use mkss_core::history::{JobOutcome, MkHistory};
 use mkss_core::mk::{MkConstraint, Pattern};
-use mkss_core::task::TaskSet;
+use mkss_core::task::{Task, TaskSet};
 use mkss_core::time::Time;
 use mkss_obs::NoopRecorder;
 use mkss_policies::{BuildOptions, PolicyKind};
 use mkss_sim::engine::{simulate, simulate_in, SimConfig, SimWorkspace};
+use mkss_sim::fault::FaultConfig;
+use mkss_sim::proc::ProcId;
 use mkss_workload::{bucket_bounds, BucketPlan, Generator, WorkloadConfig};
 use std::hint::black_box;
 use std::sync::Arc;
@@ -136,10 +138,12 @@ fn bench_trace_tools(c: &mut Criterion) {
 
 fn bench_core(c: &mut Criterion) {
     let mk = MkConstraint::new(7, 20).unwrap();
+    // The paper's widest window (k = 20, Section V) with m = 1 and a
+    // mostly met history: the most tolerable misses, k − m = 19.
     c.bench_function("core/flexibility_degree", |b| {
-        let mut h = MkHistory::new(mk);
+        let mut h = MkHistory::new(MkConstraint::new(1, 20).unwrap());
         for i in 0..19 {
-            h.record(if i % 3 == 0 {
+            h.record(if i % 5 == 0 {
                 JobOutcome::Missed
             } else {
                 JobOutcome::Met
@@ -184,14 +188,41 @@ fn bench_simulate(c: &mut Criterion) {
     group.finish();
 }
 
+/// 70 tasks in rate-monotonic order with mixed (m,k) constraints: wide
+/// enough that ids 63 and up share the engine's release-mask overflow
+/// bit, and that time advance takes its per-step minimum over 70 slots.
+fn wide_set() -> TaskSet {
+    let mk = [(1, 2), (2, 3), (3, 5), (2, 4), (1, 3)];
+    let tasks = (0..70u64)
+        .map(|i| {
+            let period = 100 + 2 * i;
+            let (m, k) = mk[i as usize % mk.len()];
+            Task::from_ms(period, period - 5 * (i % 3), 1 + i % 3, m, k).unwrap()
+        })
+        .collect();
+    TaskSet::new(tasks).unwrap()
+}
+
 /// The engine's hot path, isolated from policy construction: one full
 /// `record_trace = false` run per iteration, fresh arena vs reused
-/// workspace — the pair whose ratio `BENCH_sim.json` tracks.
+/// workspace — the pair whose ratio `BENCH_sim.json` tracks — plus a
+/// reused-workspace run of the 70-task set under the engine-soak fault
+/// mix (a mid-run permanent fault and transients at 2e-3 per ms).
 fn bench_sim_hot_path(c: &mut Criterion) {
     let ts = sample_set();
     let config = SimConfig::builder().horizon_ms(500).build();
     let opts = BuildOptions::default();
     let mut group = c.benchmark_group("sim_hot_path");
+    let wide = wide_set();
+    let wide_config = SimConfig::builder()
+        .horizon_ms(2_000)
+        .faults(FaultConfig::combined(
+            ProcId::PRIMARY,
+            Time::from_ms(1_000),
+            2e-3,
+            5,
+        ))
+        .build();
     for kind in PolicyKind::PAPER {
         group.bench_function(format!("fresh/{}", kind.id()).as_str(), |b| {
             let mut policy = kind.build(&ts, &opts).unwrap();
@@ -221,6 +252,18 @@ fn bench_sim_hot_path(c: &mut Criterion) {
                     black_box(&ts),
                     policy.as_mut(),
                     &config,
+                ))
+            })
+        });
+        group.bench_function(format!("reuse_wide70/{}", kind.id()).as_str(), |b| {
+            let mut policy = kind.build(&wide, &opts).unwrap();
+            let mut ws = SimWorkspace::new();
+            b.iter(|| {
+                black_box(simulate_in(
+                    &mut ws,
+                    black_box(&wide),
+                    policy.as_mut(),
+                    &wide_config,
                 ))
             })
         });

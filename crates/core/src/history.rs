@@ -152,20 +152,23 @@ impl MkHistory {
     ///
     /// (Windows stretching past the `f`-th miss contain future jobs, which
     /// are assumed mandatory-and-met and can only help.)
+    ///
+    /// `met_in_last(n)` grows with `n`, so the maximum is set by the
+    /// shortest suffix holding `m` met outcomes: if the `m`-th most
+    /// recent met outcome is `a` jobs old (the newest being 1), then
+    /// `FD = k − a` (at most `k − m`, since `a ≥ m`), and `FD = 0` when
+    /// the window holds fewer than `m` met outcomes. One pass from the
+    /// newest outcome back finds `a`.
     pub fn flexibility_degree(&self) -> u32 {
-        let m = self.mk.m();
-        let k = self.mk.k();
-        let mut fd = 0u32;
-        for f in 1..=(k - m) {
-            // Window of the f-th hypothetical miss: last (k - f) outcomes,
-            // of which (k - 1) - (f - 1) = k - f are in our window buffer.
-            if self.met_in_last(k - f) >= m {
-                fd = f;
-            } else {
-                break;
+        let m = self.mk.m() as usize;
+        let mut met = 0;
+        for (age, outcome) in self.window.iter().rev().enumerate() {
+            met += usize::from(outcome.is_met());
+            if met == m {
+                return self.mk.k() - 1 - age as u32;
             }
         }
-        fd
+        0
     }
 
     /// Whether the next job **must** be executed (flexibility degree 0).
@@ -316,19 +319,33 @@ mod tests {
         best
     }
 
+    /// Outcome `i` misses iff `raw[i] < misses_per_10`, so a case's miss
+    /// density ranges from none to nine in ten.
+    fn outcomes(raw: &[u8], misses_per_10: u8) -> Vec<JobOutcome> {
+        raw.iter()
+            .map(|&r| {
+                if r < misses_per_10 {
+                    JobOutcome::Missed
+                } else {
+                    JobOutcome::Met
+                }
+            })
+            .collect()
+    }
+
+    // k ranges up to 128, past one and two 64-bit words, so the single
+    // FD path is checked on windows wider than a machine word.
     proptest! {
         #[test]
         fn fd_matches_bruteforce_oracle(
-            m in 1u32..6,
-            extra in 1u32..6,
-            raw in proptest::collection::vec(any::<bool>(), 0..40),
+            m in 1u32..40,
+            extra in 1u32..90,
+            misses_per_10 in 0u8..10,
+            raw in proptest::collection::vec(0u8..10, 0..200),
         ) {
             let k = m + extra;
             let c = mk(m, k);
-            let outcomes: Vec<JobOutcome> = raw
-                .iter()
-                .map(|&b| if b { JobOutcome::Met } else { JobOutcome::Missed })
-                .collect();
+            let outcomes = outcomes(&raw, misses_per_10);
             let mut h = MkHistory::new(c);
             for &o in &outcomes {
                 h.record(o);
@@ -339,19 +356,19 @@ mod tests {
         /// Executing misses exactly FD times never violates; FD+1 misses do.
         #[test]
         fn fd_is_tight(
-            m in 1u32..5,
-            extra in 1u32..5,
-            raw in proptest::collection::vec(any::<bool>(), 0..30),
+            m in 1u32..40,
+            extra in 1u32..90,
+            misses_per_10 in 0u8..10,
+            raw in proptest::collection::vec(0u8..10, 0..200),
         ) {
             let k = m + extra;
             let c = mk(m, k);
             let mut h = MkHistory::new(c);
             let mut mon = MkMonitor::new(c);
-            for &b in &raw {
-                let o = if b { JobOutcome::Met } else { JobOutcome::Missed };
+            for o in outcomes(&raw, misses_per_10) {
                 // Keep history consistent: only feed outcomes that do not
                 // already violate (a real scheduler would never allow them).
-                if !b && h.flexibility_degree() == 0 {
+                if !o.is_met() && h.flexibility_degree() == 0 {
                     h.record(JobOutcome::Met);
                     mon.record(true);
                     continue;

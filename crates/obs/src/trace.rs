@@ -7,8 +7,8 @@
 //! [`EngineEvent`] per semantic step — release, classification, backup
 //! postponement, cancellation, fault, resolution — and a [`TraceRecorder`]
 //! copies them into a fixed-capacity [`TraceBuffer`] that never allocates
-//! after construction (the same pre-sizing discipline as the engine's event
-//! calendar). Everything downstream — the Chrome Trace Event export
+//! after construction (the same pre-sizing discipline as the engine's
+//! workspace arenas). Everything downstream — the Chrome Trace Event export
 //! ([`chrome_trace`]), the plain-text timeline ([`timeline_text`]), and the
 //! (m,k) violation forensics ([`violation_reports`]) — is a pure function
 //! of the buffer, so trace output is deterministic and golden-testable.
@@ -216,7 +216,7 @@ pub struct TraceEvent {
 /// The full capacity is allocated up front; once full, new events
 /// overwrite the oldest, so the buffer always holds the *last*
 /// `capacity` events. Pushing never allocates — the flight-recorder
-/// counterpart of the engine's pre-sized event calendar.
+/// counterpart of the engine's pre-sized workspace arenas.
 #[derive(Debug, Clone)]
 pub struct TraceBuffer {
     events: Vec<TraceEvent>,

@@ -42,12 +42,11 @@
 //! creates a throwaway workspace per call. With `record_trace = false`
 //! the steady-state event loop performs **zero** allocations per event.
 //!
-//! Time advances on a pre-sized *event calendar* (a workspace-owned
-//! binary min-heap of typed entries — task releases, postponed copy
-//! releases, deadlines, running-copy completions, and the permanent
-//! fault) with lazy invalidation: entries are never removed when state
-//! changes; stale ones are discarded as they surface at the top. See
-//! [`EventCalendar`] and DESIGN.md §3 for the full mechanism.
+//! Time advances over per-task *event slots*: each task has at most one
+//! pending release, open deadline and postponed backup release at any
+//! instant, so the next event time is one minimum over a contiguous
+//! per-task array, the two running completions and the pending fault.
+//! See [`TaskSlots`] and DESIGN.md §3 for the full mechanism.
 //!
 //! ## Observability
 //!
@@ -265,168 +264,38 @@ struct TaskState {
     exhausted: bool,
 }
 
-/// What a calendar entry announces. Each variant carries enough identity
-/// to re-validate itself against the live engine state ([lazy
-/// invalidation](EventCalendar)), so no entry ever needs to be removed
-/// from the middle of the heap when plans change.
-///
-/// Running-copy completions and job deadlines are deliberately *not*
-/// calendar entries — the calendar holds the event classes whose live
-/// instances the engine does not already index:
-///
-/// * with at most one running copy per processor, `clock + remaining`
-///   read straight off the `running` array is already the completion
-///   time, and keeping completions out of the heap spares it the most
-///   frequent (and, under preemption, most frequently restranded)
-///   entry class;
-/// * unresolved deadlines are exactly the `open_jobs` list — a handful
-///   of entries, bounded by the jobs in flight — and most jobs resolve
-///   well before their deadline, so per-job entries would roughly
-///   double heap traffic only to go stale.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum EventKind {
-    /// The next release of `task`; live while `next_index == index` and
-    /// the task is not exhausted. Every non-exhausted task keeps exactly
-    /// one live entry: `process_releases` pushes the successor whenever
-    /// it advances `next_index`.
-    TaskRelease { task: TaskId, index: u64 },
-    /// The future (postponed) release of an already-created copy — the
-    /// backup promotion `r̃ = r + θ`. Live while the copy is `Pending`
-    /// and its release is still ahead of the clock.
-    CopyRelease { copy: usize },
-    /// The configured permanent-fault injection; live until applied.
-    Fault,
+/// The future events one task can have pending, which time advance
+/// takes its minimum over (`SimWorkspace::next_at`). `Task` rejects
+/// `D > P`, so a task's open job is resolved by its successor's release,
+/// and with it every copy that could still wait on a postponed release:
+/// each task has at most one of each event at any instant. `Time::MAX`
+/// marks an empty slot.
+#[derive(Debug, Clone, Copy)]
+struct TaskSlots {
+    /// The task's next release; `Time::MAX` once it is exhausted.
+    release: Time,
+    /// Deadline of the task's unresolved job, and its arena index.
+    deadline: Time,
+    open_job: usize,
+    /// Future release `r̃ = r + θ` of a postponed backup copy, and the
+    /// copy's arena index.
+    backup: Time,
+    backup_copy: usize,
 }
 
-/// One scheduled occurrence in the event calendar: the fire time plus the
-/// [`EventKind`] packed into one word (2-bit variant tag in the low bits,
-/// payload above), keeping the entry at 16 bytes so sift operations move
-/// half the memory a naive `(Time, EventKind)` pair would.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct CalendarEntry {
-    time: Time,
-    packed: u64,
-}
-
-const TAG_TASK_RELEASE: u64 = 0;
-const TAG_COPY_RELEASE: u64 = 1;
-const TAG_FAULT: u64 = 3;
-
-impl CalendarEntry {
-    fn new(time: Time, kind: EventKind) -> Self {
-        let packed = match kind {
-            EventKind::TaskRelease { task, index } => {
-                // 16 bits of task id and 46 of job index are far beyond
-                // any enumerable horizon.
-                debug_assert!(task.0 < (1 << 16) && index < (1 << 46));
-                (index << 18) | ((task.0 as u64) << 2) | TAG_TASK_RELEASE
-            }
-            EventKind::CopyRelease { copy } => ((copy as u64) << 2) | TAG_COPY_RELEASE,
-            EventKind::Fault => TAG_FAULT,
-        };
-        CalendarEntry { time, packed }
-    }
-
-    fn kind(self) -> EventKind {
-        match self.packed & 0b11 {
-            TAG_TASK_RELEASE => EventKind::TaskRelease {
-                task: TaskId(((self.packed >> 2) & 0xFFFF) as usize),
-                index: self.packed >> 18,
-            },
-            TAG_COPY_RELEASE => EventKind::CopyRelease {
-                copy: (self.packed >> 2) as usize,
-            },
-            _ => EventKind::Fault,
+impl TaskSlots {
+    fn new(release: Time) -> Self {
+        TaskSlots {
+            release,
+            deadline: Time::MAX,
+            open_job: usize::MAX,
+            backup: Time::MAX,
+            backup_copy: usize::MAX,
         }
     }
-}
 
-/// Pre-sized binary min-heap of timed events, keyed by [`Time`].
-///
-/// Cancellations (a canceled backup, a preempted copy, a resolved job)
-/// never perform heap surgery: the entry simply goes *stale* and is
-/// discarded when it reaches the top ([`Engine::entry_live`]). Staleness
-/// is monotone — arena indices are never reused within a run and every
-/// state transition an entry checks is one-way — so a discarded entry
-/// can never become live again, and no generation counters are needed.
-///
-/// The heap is hand-rolled over a workspace-owned `Vec` (rather than
-/// `std::collections::BinaryHeap`) so `begin_run` can clear and pre-size
-/// it while retaining capacity: pushes inside the hot-path region then
-/// stay allocation-free in steady state. Layout depends only on the
-/// push/pop sequence, never on capacity, so fresh and reused workspaces
-/// behave identically.
-#[derive(Debug, Default)]
-struct EventCalendar {
-    heap: Vec<CalendarEntry>,
-}
-
-impl EventCalendar {
-    fn clear(&mut self) {
-        self.heap.clear();
-    }
-
-    fn reserve(&mut self, additional: usize) {
-        self.heap.reserve(additional);
-    }
-
-    fn push(&mut self, time: Time, kind: EventKind) {
-        self.heap.push(CalendarEntry::new(time, kind));
-        self.sift_up(self.heap.len() - 1);
-    }
-
-    fn peek(&self) -> Option<CalendarEntry> {
-        self.heap.first().copied()
-    }
-
-    fn pop(&mut self) -> Option<CalendarEntry> {
-        let last = self.heap.len().checked_sub(1)?;
-        self.heap.swap(0, last);
-        let top = self.heap.pop();
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        top
-    }
-
-    // Both sifts move the displaced entry into a hole instead of
-    // swapping pairwise — same comparison sequence (so the exact same
-    // final layout), half the writes.
-
-    fn sift_up(&mut self, mut i: usize) {
-        let item = self.heap[i];
-        while i > 0 {
-            let parent = (i - 1) / 2;
-            if self.heap[parent].time <= item.time {
-                break;
-            }
-            self.heap[i] = self.heap[parent];
-            i = parent;
-        }
-        self.heap[i] = item;
-    }
-
-    fn sift_down(&mut self, mut i: usize) {
-        let len = self.heap.len();
-        let item = self.heap[i];
-        loop {
-            let left = 2 * i + 1;
-            if left >= len {
-                break;
-            }
-            let right = left + 1;
-            let child = if right < len && self.heap[right].time < self.heap[left].time {
-                right
-            } else {
-                left
-            };
-            if item.time <= self.heap[child].time {
-                break;
-            }
-            self.heap[i] = self.heap[child];
-            i = child;
-        }
-        self.heap[i] = item;
+    fn next_at(&self) -> Time {
+        self.release.min(self.deadline).min(self.backup)
     }
 }
 
@@ -478,14 +347,15 @@ pub struct SimWorkspace {
     open_jobs: Vec<usize>,
     /// Scratch for deadline resolution (kept for its capacity).
     due_scratch: Vec<usize>,
-    /// Jobs whose deadline entry fired at the chosen next event time;
+    /// Jobs whose deadline slot fired at the chosen next event time;
     /// drained (sorted into release order) by the following iteration's
     /// resolution phase. At most one job per task can share an instant,
     /// so `begin_run` pre-sizes it to the task count.
     deadline_scratch: Vec<usize>,
-    /// The event calendar driving time advance; cleared and pre-sized at
-    /// checkout, capacity retained across runs.
-    calendar: EventCalendar,
+    /// Per-task pending events, indexed by task id.
+    slots: Vec<TaskSlots>,
+    /// `slots[t].next_at()`, kept contiguous for the per-step minimum.
+    next_at: Vec<Time>,
     trace: Trace,
     /// Merged busy intervals per processor, in time order.
     busy: [Vec<(Time, Time)>; 2],
@@ -547,14 +417,14 @@ impl SimWorkspace {
         self.due_scratch.clear();
         self.deadline_scratch.clear();
         self.deadline_scratch.reserve(ts.len());
-        self.calendar.clear();
-        // Pre-size the calendar at checkout: one release entry per task,
-        // plus copy-release entries for the window of simultaneously
-        // pending backups, plus the fault. Steady-state residue is
-        // bounded by the same window (stale entries die as the clock
-        // passes them), and capacity is retained across runs, so the hot
-        // loop itself never grows the heap.
-        self.calendar.reserve(4 * ts.len() + 8);
+        self.slots.clear();
+        self.slots.extend(
+            ts.iter()
+                .map(|(_, task)| TaskSlots::new(task.release_of(1))),
+        );
+        self.next_at.clear();
+        self.next_at
+            .extend(self.slots.iter().map(TaskSlots::next_at));
         self.trace.segments.clear();
         self.trace.resolutions.clear();
         for intervals in &mut self.busy {
@@ -657,19 +527,18 @@ pub fn simulate_in<P: Policy + ?Sized>(
         release_mask: u64::MAX,
         dispatch_dirty: [true; 2],
         opt_expiry: [Time::ZERO; 2],
-        time_advance: TimeAdvance::Calendar,
+        time_advance: TimeAdvance::Slots,
     };
     engine.run(policy)
 }
 
-/// How [`Engine::run`] finds the next event time. `Calendar` is the
+/// How [`Engine::run`] finds the next event time. `Slots` is the
 /// production path; `Scan` re-derives it with linear scans over all
-/// state (the pre-calendar engine, kept as a reference oracle — it also
-/// cross-checks the calendar via a `debug_assert_eq!` on every step of
-/// every debug-build run).
+/// engine state (a reference oracle, which also cross-checks the slots
+/// via a `debug_assert_eq!` on every step of every debug-build run).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum TimeAdvance {
-    Calendar,
+    Slots,
     #[cfg(test)]
     Scan,
 }
@@ -708,6 +577,25 @@ struct Engine<'a, 'w> {
     /// the survivors; `Time::MAX` when no ready optionals exist.
     opt_expiry: [Time; 2],
     time_advance: TimeAdvance,
+}
+
+/// Minimum of `times` (`Time::MAX` when empty), folded over four
+/// independent lanes so wide task sets do not serialize on one compare
+/// chain.
+fn earliest(times: &[Time]) -> Time {
+    let mut lanes = [Time::MAX; 4];
+    let mut chunks = times.chunks_exact(4);
+    for chunk in &mut chunks {
+        for (lane, &t) in lanes.iter_mut().zip(chunk) {
+            *lane = (*lane).min(t);
+        }
+    }
+    chunks
+        .remainder()
+        .iter()
+        .chain(&lanes)
+        .copied()
+        .fold(Time::MAX, Time::min)
 }
 
 /// Map the engine's copy kind onto the trace catalog's copy role.
@@ -764,14 +652,13 @@ impl<'a, 'w> Engine<'a, 'w> {
     // fresh allocating constructor may appear in this region.
     fn run<P: Policy + ?Sized>(mut self, policy: &mut P) -> SimReport {
         policy.init(self.ts);
-        self.seed_calendar();
         loop {
             self.apply_fault_if_due();
             match self.time_advance {
-                TimeAdvance::Calendar => {
-                    // Fired calendar entries name exactly the jobs and
-                    // tasks each phase must look at; everything else is
-                    // provably a no-op and skipped.
+                TimeAdvance::Slots => {
+                    // Fired slots name exactly the jobs and tasks each
+                    // phase must look at; everything else is provably a
+                    // no-op and skipped.
                     if !self.ws.deadline_scratch.is_empty() {
                         self.resolve_fired_deadlines();
                     }
@@ -782,8 +669,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                 #[cfg(test)]
                 TimeAdvance::Scan => {
                     // The reference path re-runs every phase against all
-                    // state on every iteration, exactly like the
-                    // pre-calendar engine.
+                    // state on every iteration.
                     self.resolve_due_deadlines();
                     self.release_mask = u64::MAX;
                     self.process_releases(policy);
@@ -793,7 +679,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             }
             self.dispatch();
             let next = match self.time_advance {
-                TimeAdvance::Calendar => self.next_event_time(),
+                TimeAdvance::Slots => self.next_event_time(),
                 #[cfg(test)]
                 TimeAdvance::Scan => self.next_event_time_scan(),
             };
@@ -819,7 +705,7 @@ impl<'a, 'w> Engine<'a, 'w> {
             debug_assert_eq!(
                 next,
                 self.next_event_time_scan(),
-                "calendar/scan divergence at {}",
+                "slots/scan divergence at {}",
                 self.clock
             );
             let Some(next) = next else {
@@ -834,24 +720,6 @@ impl<'a, 'w> Engine<'a, 'w> {
         self.clock = self.config.horizon;
         self.resolve_due_deadlines();
         self.finish(policy.name())
-    }
-
-    /// Seeds the run's calendar: the permanent fault (if configured) and
-    /// the first release of every task. Everything else registers as the
-    /// state evolves — releases chain to their successor and postponed
-    /// copies enroll at creation (completions are read off the `running`
-    /// array, deadlines off the open-job list, not the calendar).
-    fn seed_calendar(&mut self) {
-        if let Some(pf) = self.config.faults.permanent {
-            self.ws.calendar.push(pf.at, EventKind::Fault);
-        }
-        for (id, task) in self.ts.iter() {
-            let index = self.ws.tasks[id.0].next_index;
-            self.ws.calendar.push(
-                task.release_of(index),
-                EventKind::TaskRelease { task: id, index },
-            );
-        }
     }
 
     /// Enrolls a freshly created copy in the active list, recording its
@@ -872,10 +740,16 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     /// Removes a copy from the active list the moment it leaves
     /// `Pending`, so the dispatch scans stay O(live copies) without a
-    /// per-event prune pass. The list is unordered, which no consumer
-    /// relies on (dispatch picks by unique priority keys).
+    /// per-event prune pass, and drops its postponed release, if still
+    /// pending, from its task's slot. The list is unordered, which no
+    /// consumer relies on (dispatch picks by unique priority keys).
     fn deactivate_copy(&mut self, c: usize) {
         self.dispatch_dirty[self.ws.copies[c].proc.index()] = true;
+        let task = self.ws.copies[c].job.id.task.0;
+        if self.ws.slots[task].backup_copy == c {
+            self.ws.slots[task].backup = Time::MAX;
+            self.refresh_next_at(task);
+        }
         let slot = self.ws.copies[c].active_slot;
         debug_assert_eq!(
             self.ws.active_copies.get(slot).copied(),
@@ -888,9 +762,13 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
-    /// Same as [`Engine::deactivate_copy`] for the open-job list, at
-    /// resolution.
+    /// Same as [`Engine::deactivate_copy`] for the open-job list and
+    /// the task's deadline slot, at resolution.
     fn deactivate_job(&mut self, j: usize) {
+        let task = self.ws.jobs[j].job.id.task.0;
+        debug_assert_eq!(self.ws.slots[task].open_job, j, "deadline slot out of sync");
+        self.ws.slots[task].deadline = Time::MAX;
+        self.refresh_next_at(task);
         let slot = self.ws.jobs[j].open_slot;
         debug_assert_eq!(
             self.ws.open_jobs.get(slot).copied(),
@@ -901,6 +779,54 @@ impl<'a, 'w> Engine<'a, 'w> {
         if let Some(&moved) = self.ws.open_jobs.get(slot) {
             self.ws.jobs[moved].open_slot = slot;
         }
+    }
+
+    /// Re-derives a task's entry in the contiguous `next_at` array after
+    /// one of its slots changed.
+    fn refresh_next_at(&mut self, task: usize) {
+        self.ws.next_at[task] = self.ws.slots[task].next_at();
+    }
+
+    /// Enrolls a freshly released job in the open-job list and its
+    /// task's deadline slot, which must be empty: `D ≤ P` resolves every
+    /// job by its successor's release.
+    fn open_job(&mut self, job: Job, copies: [usize; 2], copy_count: u8) {
+        let j = self.ws.jobs.len();
+        let task = job.id.task.0;
+        debug_assert_eq!(
+            self.ws.slots[task].deadline,
+            Time::MAX,
+            "two open jobs of one task (D > P?)"
+        );
+        self.ws.slots[task].deadline = job.deadline;
+        self.ws.slots[task].open_job = j;
+        self.refresh_next_at(task);
+        self.ws.jobs.push(JobEntry {
+            job,
+            resolved: false,
+            copies,
+            copy_count,
+            open_slot: self.ws.open_jobs.len(),
+        });
+        self.ws.open_jobs.push(j);
+    }
+
+    /// Registers a backup copy whose release `r̃ = r + θ` lies ahead of
+    /// the clock in its task's backup slot, so time advance stops there.
+    fn postpone_copy(&mut self, c: usize) {
+        let release = self.ws.copies[c].release;
+        if release <= self.clock {
+            return;
+        }
+        let task = self.ws.copies[c].job.id.task.0;
+        debug_assert_eq!(
+            self.ws.slots[task].backup,
+            Time::MAX,
+            "two postponed backups of one task"
+        );
+        self.ws.slots[task].backup = release;
+        self.ws.slots[task].backup_copy = c;
+        self.refresh_next_at(task);
     }
 
     // ----- fault handling ---------------------------------------------
@@ -1119,37 +1045,30 @@ impl<'a, 'w> Engine<'a, 'w> {
         }
     }
 
-    /// Releases every due job of one task, then chains the calendar to
-    /// the task's successor release: the entry for any index consumed
-    /// here fired (or will lazily drop), and every non-exhausted task
-    /// must keep exactly one live entry.
+    /// Releases every due job of one task, then points its release slot
+    /// at the successor release (`Time::MAX` once exhausted).
     fn release_due_jobs_of<P: Policy + ?Sized>(&mut self, policy: &mut P, id: TaskId) {
         let task = self.ts.task(id);
-        let start_index = self.ws.tasks[id.0].next_index;
-        loop {
+        let next = loop {
             let tstate = &self.ws.tasks[id.0];
             if tstate.exhausted {
-                break;
+                break Time::MAX;
             }
             let index = tstate.next_index;
             let release = task.release_of(index);
             if task.deadline_of(index) > self.config.horizon {
                 self.ws.tasks[id.0].exhausted = true;
-                break;
+                break Time::MAX;
             }
             if release > self.clock {
-                break;
+                break release;
             }
             self.ws.tasks[id.0].next_index += 1;
             self.release_job(policy, id, index, release);
-        }
-        let tstate = &self.ws.tasks[id.0];
-        if !tstate.exhausted && tstate.next_index != start_index {
-            let index = tstate.next_index;
-            self.ws.calendar.push(
-                task.release_of(index),
-                EventKind::TaskRelease { task: id, index },
-            );
+        };
+        if self.ws.slots[id.0].release != next {
+            self.ws.slots[id.0].release = next;
+            self.refresh_next_at(id.0);
         }
     }
 
@@ -1161,7 +1080,6 @@ impl<'a, 'w> Engine<'a, 'w> {
         release: Time,
     ) {
         debug_assert_eq!(release, self.clock, "release processed late");
-        let fd = self.ws.tasks[id.0].history.flexibility_degree();
         let decision = {
             let ctx = ReleaseCtx {
                 task: id,
@@ -1259,11 +1177,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                         self.ws.copies[main_idx].sibling = Some(backup_idx);
                         copies[copy_count as usize] = backup_idx;
                         copy_count += 1;
-                        if backup_release > self.clock {
-                            self.ws
-                                .calendar
-                                .push(backup_release, EventKind::CopyRelease { copy: backup_idx });
-                        }
+                        self.postpone_copy(backup_idx);
                         // Stamped at the effective release r + θ, θ in ticks.
                         self.emit_event(
                             backup_release,
@@ -1303,11 +1217,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     });
                     copies[copy_count as usize] = idx;
                     copy_count += 1;
-                    if backup_release > self.clock {
-                        self.ws
-                            .calendar
-                            .push(backup_release, EventKind::CopyRelease { copy: idx });
-                    }
+                    self.postpone_copy(idx);
                     self.emit_event(
                         backup_release,
                         TraceKind::BackupRelease,
@@ -1321,19 +1231,13 @@ impl<'a, 'w> Engine<'a, 'w> {
                 for &c in &copies[..copy_count as usize] {
                     self.activate_copy(c);
                 }
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies,
-                    copy_count,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
+                self.open_job(job, copies, copy_count);
             }
             ReleaseDecision::Mandatory { .. } => {
                 unreachable!("normalized to MandatoryScaled above")
             }
             ReleaseDecision::Optional { proc } => {
+                let fd = self.ws.tasks[id.0].history.flexibility_degree();
                 let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
                 let proc = self.live_proc(proc);
                 self.emit_event(
@@ -1362,16 +1266,10 @@ impl<'a, 'w> Engine<'a, 'w> {
                     active_slot: usize::MAX,
                 });
                 self.activate_copy(idx);
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies: [idx, 0],
-                    copy_count: 1,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
+                self.open_job(job, [idx, 0], 1);
             }
             ReleaseDecision::Skip => {
+                let fd = self.ws.tasks[id.0].history.flexibility_degree();
                 self.emit_event(
                     release,
                     TraceKind::OptionalSkip,
@@ -1382,14 +1280,7 @@ impl<'a, 'w> Engine<'a, 'w> {
                     u64::from(fd),
                 );
                 let job = Job::nth(id, self.ts.task(id), index, JobClass::Optional);
-                self.ws.jobs.push(JobEntry {
-                    job,
-                    resolved: false,
-                    copies: [0, 0],
-                    copy_count: 0,
-                    open_slot: self.ws.open_jobs.len(),
-                });
-                self.ws.open_jobs.push(job_entry);
+                self.open_job(job, [0, 0], 0);
             }
         }
     }
@@ -1522,110 +1413,63 @@ impl<'a, 'w> Engine<'a, 'w> {
 
     // ----- time advance --------------------------------------------------
 
-    /// True when a calendar entry still announces a real occurrence.
-    /// Every entry carries enough identity to re-check itself against
-    /// the live state; staleness is monotone (arena indices are never
-    /// reused within a run, each checked transition is one-way, the
-    /// clock only grows), so a stale entry can be dropped for good the
-    /// moment it surfaces.
-    fn entry_live(&self, entry: CalendarEntry) -> bool {
-        match entry.kind() {
-            EventKind::TaskRelease { task, index } => {
-                let tstate = &self.ws.tasks[task.0];
-                !tstate.exhausted && tstate.next_index == index
-            }
-            EventKind::CopyRelease { copy } => {
-                let c = &self.ws.copies[copy];
-                c.state == CopyState::Pending && c.release > self.clock
-            }
-            EventKind::Fault => !self.fault_applied,
-        }
-    }
-
-    /// Earliest future event: the nearer of the running copies'
-    /// completions (read off the `running` array) and the calendar top.
+    /// Earliest future event: the minimum over the per-task slots
+    /// (`next_at`), the running copies' completions (read off the
+    /// `running` array) and the pending permanent fault.
     ///
-    /// Stale tops are lazily discarded as they surface; entries firing
-    /// exactly at the returned time are consumed here, and each fired
-    /// entry tells the next loop iteration precisely where to look — the
-    /// released task's bit in `release_mask`, the due job's index in
-    /// `deadline_scratch`, the readied copy's processor in
-    /// `dispatch_dirty`. Matches [`Engine::next_event_time_scan`]
-    /// exactly on every reachable state (cross-checked per step in
-    /// debug builds).
+    /// Slots firing exactly at the returned time tell the next loop
+    /// iteration precisely where to look — a released task's bit in
+    /// `release_mask`, a due job's index in `deadline_scratch`, a
+    /// readied backup's processor in `dispatch_dirty` (its slot is
+    /// emptied here, as the clock reaches it). Matches
+    /// [`Engine::next_event_time_scan`] exactly on every reachable state
+    /// (cross-checked per step in debug builds).
     fn next_event_time(&mut self) -> Option<Time> {
-        let mut next = self.config.horizon;
-        let mut any = self.clock < self.config.horizon;
+        let slots_min = earliest(&self.ws.next_at);
+        let mut next = self.config.horizon.min(slots_min);
+        let mut any = self.clock < self.config.horizon || slots_min < Time::MAX;
         for &proc in &ProcId::ALL {
             if let Some(c) = self.running[proc.index()] {
                 next = next.min(self.clock + self.ws.copies[c].remaining);
                 any = true;
             }
         }
-        for &i in &self.ws.open_jobs {
-            let job = &self.ws.jobs[i];
-            if !job.resolved && job.job.deadline > self.clock {
-                next = next.min(job.job.deadline);
-                any = true;
+        // A pending permanent fault alone does not keep the run alive: a
+        // dead-idle system past its last deadline ends even with the
+        // fault still scheduled.
+        if !self.fault_applied {
+            if let Some(pf) = self.config.faults.permanent {
+                next = next.min(pf.at);
             }
-        }
-        while let Some(top) = self.ws.calendar.peek() {
-            if !self.entry_live(top) {
-                self.ws.calendar.pop();
-                continue;
-            }
-            if top.time < next {
-                next = top.time;
-            }
-            // A pending permanent fault alone does not keep the run
-            // alive, matching the scan: a dead-idle system past its last
-            // deadline ends even with the fault still scheduled.
-            if !matches!(top.kind(), EventKind::Fault) {
-                any = true;
-            }
-            break;
         }
         if !any {
             return None;
         }
-        // Deadlines reaching resolution at `next`: every open deadline
-        // took part in the min above, so the due ones equal `next`
-        // exactly — and no task has two, since a task's job deadlines
-        // are strictly increasing.
-        for &i in &self.ws.open_jobs {
-            let job = &self.ws.jobs[i];
-            if !job.resolved && job.job.deadline > self.clock && job.job.deadline <= next {
-                self.ws.deadline_scratch.push(i);
-            }
+        if slots_min != next {
+            return Some(next);
         }
-        // Consume everything firing at `next` (and any stale residue at
-        // or below it), recording where the next iteration must act.
-        // Fired entries need no successor push here: releases chain in
-        // `process_releases`, copy releases and faults are observed
-        // directly from engine state next iteration.
-        while let Some(top) = self.ws.calendar.peek() {
-            if top.time > next {
-                break;
+        for t in 0..self.ws.next_at.len() {
+            if self.ws.next_at[t] != next {
+                continue;
             }
-            let live = self.entry_live(top);
-            self.ws.calendar.pop();
-            if live {
-                match top.kind() {
-                    EventKind::TaskRelease { task, .. } => {
-                        self.release_mask |= 1u64 << task.0.min(63);
-                    }
-                    EventKind::CopyRelease { copy } => {
-                        self.dispatch_dirty[self.ws.copies[copy].proc.index()] = true;
-                    }
-                    EventKind::Fault => {}
-                }
+            let slot = &mut self.ws.slots[t];
+            if slot.release == next {
+                self.release_mask |= 1u64 << t.min(63);
+            }
+            if slot.deadline == next {
+                self.ws.deadline_scratch.push(slot.open_job);
+            }
+            if slot.backup == next {
+                slot.backup = Time::MAX;
+                self.dispatch_dirty[self.ws.copies[slot.backup_copy].proc.index()] = true;
+                self.ws.next_at[t] = slot.next_at();
             }
         }
         Some(next)
     }
 
-    /// The pre-calendar linear-scan derivation of the next event time,
-    /// kept as a reference oracle: `run` cross-checks the calendar
+    /// The linear-scan derivation of the next event time over all engine
+    /// state, kept as a reference oracle: `run` cross-checks the slots
     /// against it on every step in debug builds, and the in-module
     /// differential tests drive whole runs with it (`TimeAdvance::Scan`).
     fn next_event_time_scan(&self) -> Option<Time> {
@@ -2160,7 +2004,7 @@ mod tests {
 
     /// [`simulate_in`] with two extra knobs for the tests below: the
     /// time-advance mechanism, and a hook to poke the freshly reset
-    /// workspace (e.g. forge a calendar entry) before the run starts.
+    /// workspace (e.g. forge an event slot) before the run starts.
     fn run_prepared<P: Policy + ?Sized>(
         ws: &mut SimWorkspace,
         ts: &TaskSet,
@@ -2192,12 +2036,12 @@ mod tests {
         engine.run(policy)
     }
 
-    /// Regression for the release-mode stall: a calendar entry stuck at
-    /// (or before) the clock used to spin the event loop forever in
-    /// release builds, where the old `debug_assert!(next > clock)`
-    /// compiled away. The guard is now a hard invariant in every build:
-    /// the run flags the stall, stops advancing, and still resolves
-    /// every released job at the horizon.
+    /// Regression for the release-mode stall: an event stuck at (or
+    /// before) the clock used to spin the event loop forever in release
+    /// builds, where the old `debug_assert!(next > clock)` compiled away.
+    /// The guard is now a hard invariant in every build: the run flags
+    /// the stall, stops advancing, and still resolves every released job
+    /// at the horizon.
     #[test]
     fn zero_length_step_ends_the_run_instead_of_spinning() {
         use mkss_obs::TraceRecorder;
@@ -2214,25 +2058,22 @@ mod tests {
                 .count()
         };
 
-        // Forge a release entry for τ1's *second* job at t = 0. The
-        // first `process_releases` pass advances τ1's `next_index` to 2,
-        // which makes the forged entry live, so `next_event_time`
-        // returns 0 == clock: a zero-length step out of a state the
-        // engine can never produce on its own.
+        // Forge a postponed-backup slot for τ1 at t = 0, naming copy 1 —
+        // the backup of J11, which the first `process_releases` pass
+        // creates with no delay and so never registers itself. The slot
+        // survives that pass, so `next_event_time` returns 0 == clock: a
+        // zero-length step out of a state the engine can never produce
+        // on its own.
         let report = run_prepared(
             &mut ws,
             &ts,
             &mut StaticRef,
             &config,
-            TimeAdvance::Calendar,
+            TimeAdvance::Slots,
             |ws| {
-                ws.calendar.push(
-                    Time::ZERO,
-                    EventKind::TaskRelease {
-                        task: TaskId(0),
-                        index: 2,
-                    },
-                );
+                ws.slots[0].backup = Time::ZERO;
+                ws.slots[0].backup_copy = 1;
+                ws.next_at[0] = Time::ZERO;
             },
         );
 
@@ -2240,31 +2081,63 @@ mod tests {
         // The run still terminates and accounts for everything it
         // released before stopping: both t=0 jobs miss at the horizon.
         assert_eq!(report.stats.released, 2);
+        assert_eq!(report.stats.missed, 2);
         assert_eq!(
             report.stats.met + report.stats.missed,
             report.stats.released
         );
 
-        // The same run without the forged entry never stalls.
+        // The same run without the forged slot never stalls.
         let clean = run_prepared(
             &mut ws,
             &ts,
             &mut StaticRef,
             &config,
-            TimeAdvance::Calendar,
+            TimeAdvance::Slots,
             |_| {},
         );
         assert_eq!(stalls(), 1);
         assert_eq!(clean.stats.met, 3);
     }
 
-    /// Whole-run differential between the production calendar and the
-    /// pre-calendar linear-scan oracle, across fault configs and trace
-    /// on/off. The per-step `debug_assert_eq!` in `run` already
-    /// cross-checks the chosen event times on every debug-build run;
-    /// this pins the end-to-end reports too.
+    /// Asserts that the production slots and the linear-scan oracle
+    /// produce byte-identical reports for every set × config pair. The
+    /// per-step `debug_assert_eq!` in `run` already cross-checks the
+    /// chosen event times on every debug-build run; this pins the
+    /// end-to-end reports too.
+    fn assert_slots_match_scan(sets: &[TaskSet], configs: &[SimConfig]) {
+        let mut ws = SimWorkspace::new();
+        for ts in sets {
+            for config in configs {
+                let slots = run_prepared(
+                    &mut ws,
+                    ts,
+                    &mut StaticRef,
+                    config,
+                    TimeAdvance::Slots,
+                    |_| {},
+                );
+                let scan = run_prepared(
+                    &mut ws,
+                    ts,
+                    &mut StaticRef,
+                    config,
+                    TimeAdvance::Scan,
+                    |_| {},
+                );
+                assert_eq!(
+                    format!("{slots:?}"),
+                    format!("{scan:?}"),
+                    "slots/scan reports diverge"
+                );
+            }
+        }
+    }
+
+    /// Whole-run differential between the production slots and the
+    /// linear-scan oracle, across fault configs and trace on/off.
     #[test]
-    fn scan_oracle_and_calendar_reports_are_identical() {
+    fn scan_oracle_and_slot_reports_are_identical() {
         let sets = [
             fig1_set(),
             TaskSet::new(vec![Task::from_ms(10, 10, 2, 1, 2).unwrap()]).unwrap(),
@@ -2288,80 +2161,45 @@ mod tests {
                 ))
                 .build(),
         ];
-        let mut ws = SimWorkspace::new();
-        for ts in &sets {
-            for config in &configs {
-                let calendar = run_prepared(
-                    &mut ws,
-                    ts,
-                    &mut StaticRef,
-                    config,
-                    TimeAdvance::Calendar,
-                    |_| {},
-                );
-                let scan = run_prepared(
-                    &mut ws,
-                    ts,
-                    &mut StaticRef,
-                    config,
-                    TimeAdvance::Scan,
-                    |_| {},
-                );
-                assert_eq!(
-                    format!("{calendar:?}"),
-                    format!("{scan:?}"),
-                    "calendar/scan reports diverge"
-                );
-            }
-        }
+        assert_slots_match_scan(&sets, &configs);
     }
 
-    proptest::proptest! {
-        /// The calendar is a min-heap on time: every pop — including
-        /// pops interleaved with pushes — returns the minimum of what is
-        /// currently stored, checked against a reference multiset. Drain
-        /// order is therefore nondecreasing once pushes stop.
-        #[test]
-        fn calendar_pops_are_time_ordered(
-            times in proptest::collection::vec(0u64..10_000, 1..200),
-            interleave in proptest::collection::vec(proptest::prelude::any::<bool>(), 1..200),
-        ) {
-            let mut calendar = EventCalendar::default();
-            let mut reference: Vec<u64> = Vec::new();
-            let pop_and_check = |calendar: &mut EventCalendar,
-                                     reference: &mut Vec<u64>|
-             -> Result<(), proptest::test_runner::TestCaseError> {
-                let entry = calendar.pop();
-                proptest::prop_assert_eq!(entry.is_some(), !reference.is_empty());
-                if let Some(entry) = entry {
-                    let (slot, &min) = reference
-                        .iter()
-                        .enumerate()
-                        .min_by_key(|&(_, t)| t)
-                        .expect("reference non-empty");
-                    proptest::prop_assert_eq!(
-                        entry.time,
-                        Time::from_ticks(min),
-                        "pop is not the pending minimum"
-                    );
-                    reference.swap_remove(slot);
-                }
-                Ok(())
-            };
-            for (i, &t) in times.iter().enumerate() {
-                calendar.push(Time::from_ticks(t), EventKind::Fault);
-                reference.push(t);
-                if *interleave.get(i).unwrap_or(&false) {
-                    pop_and_check(&mut calendar, &mut reference)?;
-                }
-            }
-            let mut last = Time::ZERO;
-            while let Some(top) = calendar.peek() {
-                proptest::prop_assert!(top.time >= last, "drain went backwards");
-                last = top.time;
-                pop_and_check(&mut calendar, &mut reference)?;
-            }
-            proptest::prop_assert!(reference.is_empty());
-        }
+    /// The same differential on 70 tasks: ids 63 and up share the
+    /// release mask's overflow bit, which the fired-slot pass sets and
+    /// `process_releases` widens to a range scan.
+    #[test]
+    fn scan_oracle_and_slot_reports_are_identical_on_a_wide_set() {
+        let mk = [(1, 2), (2, 3), (3, 5), (2, 4), (1, 3)];
+        let tasks = (0..70u64)
+            .map(|i| {
+                let period = 100 + 2 * i;
+                let (m, k) = mk[i as usize % mk.len()];
+                Task::from_ms(period, period - 5 * (i % 3), 1 + i % 3, m, k).unwrap()
+            })
+            .collect();
+        let ts = TaskSet::new(tasks).unwrap();
+        let horizon = Time::from_ms(1_000);
+        let configs = [
+            SimConfig::builder()
+                .horizon(horizon)
+                .record_trace(true)
+                .build(),
+            SimConfig::builder()
+                .horizon(horizon)
+                .faults(FaultConfig::combined(
+                    ProcId::PRIMARY,
+                    Time::from_ms(431),
+                    2e-3,
+                    5,
+                ))
+                .build(),
+        ];
+        let report = simulate(&ts, &mut StaticRef, &configs[0]);
+        let trace = report.trace.as_ref().unwrap();
+        assert!(
+            trace.resolutions.iter().any(|r| r.job.task.0 >= 63),
+            "ids past 63 must release and resolve jobs"
+        );
+        assert_slots_match_scan(&[ts], &configs);
     }
 }
